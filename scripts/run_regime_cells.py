@@ -16,19 +16,8 @@ import argparse
 import math
 import sys
 
-from implbases import ContextBoundParams, SweepSpec, avg_pp_exponent, render_csv
-from implbases.sweep import run_trial
-
-
-def cell_records(spec: SweepSpec, cell_index: int, trials: int):
-    params = spec.cells()[0]
-    records = []
-    for t in range(trials):
-        rec = run_trial(spec, cell_index, params, t)
-        if rec.error is not None:
-            sys.exit(f"trial failed: {rec.error}")
-        records.append(rec)
-    return records
+from implbases import (ContextBoundParams, SweepSpec, avg_pp_exponent,
+                       render_csv, run_sweep)
 
 
 def main() -> int:
@@ -56,7 +45,11 @@ def main() -> int:
         spec = SweepSpec(model="multi", objects=(m,), attributes=(n,),
                          x=args.x, f_prob=args.f_prob, trials=args.trials,
                          base_seed=args.seed, **sizes)
-        records = cell_records(spec, cell_index, args.trials)
+        records = run_sweep(spec)
+        for rec in records:
+            if rec.error is not None:
+                sys.exit(f"trial failed: {rec.error}")
+            rec.cell = cell_index
         all_records.extend(records)
         values[label] = [r.pp_pairs for r in records]
         mean = sum(values[label]) / len(values[label])

@@ -12,22 +12,7 @@ import math
 import sys
 
 from implbases import (FitError, SweepSpec, fit_exponent, fit_lower_envelope,
-                       render_csv)
-from implbases.sweep import run_trial
-
-
-def diagonal_records(sizes, p, trials, base_seed):
-    records = []
-    for cell_index, nm in enumerate(sizes):
-        spec = SweepSpec(model="single", objects=(nm,), attributes=(nm,),
-                         p_values=(p,), trials=trials, base_seed=base_seed)
-        params = spec.cells()[0]
-        for t in range(trials):
-            rec = run_trial(spec, cell_index, params, t)
-            if rec.error is not None:
-                sys.exit(f"trial failed: {rec.error}")
-            records.append(rec)
-    return records
+                       render_csv, run_sweep)
 
 
 def main() -> int:
@@ -43,7 +28,17 @@ def main() -> int:
     args = parser.parse_args()
 
     sizes = tuple(int(v) for v in args.sizes.split(","))
-    records = diagonal_records(sizes, args.p, args.trials, args.seed)
+    # one single-cell sweep per diagonal size, cells numbered in size order
+    records, calibration = [], []
+    for seed, out in ((args.seed, records), (args.calibration_seed, calibration)):
+        for cell_index, nm in enumerate(sizes):
+            for rec in run_sweep(SweepSpec(
+                    model="single", objects=(nm,), attributes=(nm,),
+                    p_values=(args.p,), trials=args.trials, base_seed=seed)):
+                if rec.error is not None:
+                    sys.exit(f"trial failed: {rec.error}")
+                rec.cell = cell_index
+                out.append(rec)
     spec = SweepSpec(model="single", objects=sizes, attributes=sizes,
                      p_values=(args.p,), trials=args.trials,
                      base_seed=args.seed)
@@ -63,8 +58,6 @@ def main() -> int:
                   f"fitted={cell.fitted_count:10.1f} "
                   f"rel_residual={cell.relative_residual:.4f}")
 
-    calibration = diagonal_records(sizes, args.p, args.trials,
-                                   args.calibration_seed)
     c2 = fit_lower_envelope([
         (r.params["attributes"], r.params["objects"], r.params["p"], r.mt_mean)
         for r in calibration])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .context import FormalContext
-from .hypergraph import Hypergraph, _transversal_masks
+from .hypergraph import Hypergraph, _scan_subsets, _transversal_masks
 from .sets import AttributeSet, IndexSet, sort_key
 
 BRUTE_FORCE_PREMISE_LIMIT = 15
@@ -90,18 +90,33 @@ class ImplicationBase:
 # -- proper premises ----------------------------------------------------------
 
 
+def _attribute_edges(rows: Sequence[int], n: int, a: int) -> list[int]:
+    """Edge masks of attribute `a`'s hypergraph: the complement of every
+    row that misses `a`, in row order."""
+    if not 0 <= a < n:
+        raise ValueError(f"attribute {a} outside universe {n}")
+    full = (1 << n) - 1
+    return [full & ~row for row in rows if not (row >> a & 1)]
+
+
 def attribute_hypergraph(ctx: FormalContext, a: int) -> Hypergraph:
     """One edge (attribute complement of the object's row) per object
     missing `a`; edgeless when column `a` is full. Every edge contains
     `a`. Duplicate edges are preserved; dualization normalizes anyway.
     """
-    if not 0 <= a < ctx.n_attributes:
-        raise ValueError(f"attribute {a} outside universe {ctx.n_attributes}")
     n = ctx.n_attributes
-    full = (1 << n) - 1
-    masks = [full & ~row for o, row in enumerate(ctx.row_masks)
-             if not (row >> a & 1)]
-    return Hypergraph.from_masks(n, masks)
+    return Hypergraph.from_masks(n, _attribute_edges(ctx.row_masks, n, a))
+
+
+def dualize_attribute(rows: Sequence[int], n: int, a: int) -> list[int]:
+    """Minimal-transversal masks of attribute `a`'s hypergraph over the
+    row masks `rows` of an `n`-attribute context, in no fixed order.
+
+    This is the one place a context's attribute is dualized. The result
+    holds the trivial transversal {a} whenever the column is not full;
+    every other member is a proper premise of `a`.
+    """
+    return _transversal_masks(n, _attribute_edges(rows, n, a))
 
 
 def proper_premises_of(ctx: FormalContext, a: int) -> list[AttributeSet]:
@@ -113,18 +128,18 @@ def proper_premises_of(ctx: FormalContext, a: int) -> list[AttributeSet]:
     removal is a plain set difference. When column `a` is full the
     result is [{}]: every object has `a`, so `a` follows from nothing.
     """
-    h = attribute_hypergraph(ctx, a)
-    masks = _transversal_masks(h.vertex_count, h.edge_masks)
+    n = ctx.n_attributes
     abit = 1 << a
-    out = [IndexSet.from_mask(ctx.n_attributes, m) for m in masks if m != abit]
+    out = [IndexSet.from_mask(n, m)
+           for m in dualize_attribute(ctx.row_masks, n, a) if m != abit]
     out.sort(key=sort_key)
     return out
 
 
 def brute_force_proper_premises(ctx: FormalContext, a: int) -> list[AttributeSet]:
-    """Oracle: scan all attribute subsets for the premise property
-    (intersecting every row complement that misses `a`), keep the
-    inclusion-minimal ones, drop {a}.
+    """Oracle: scan all attribute subsets for the premise property (every
+    row containing the subset contains `a`), keep the inclusion-minimal
+    ones, drop {a}.
     """
     n = ctx.n_attributes
     if n > BRUTE_FORCE_PREMISE_LIMIT:
@@ -132,18 +147,35 @@ def brute_force_proper_premises(ctx: FormalContext, a: int) -> list[AttributeSet
             f"brute force limited to {BRUTE_FORCE_PREMISE_LIMIT} attributes, got {n}")
     if not 0 <= a < n:
         raise ValueError(f"attribute {a} outside universe {n}")
-    full = (1 << n) - 1
-    edges = [full & ~row for row in ctx.row_masks if not (row >> a & 1)]
-    premises = [s for s in range(1 << n) if all(s & e for e in edges)]
-    premises.sort(key=lambda m: m.bit_count())
-    kept: list[int] = []
-    for s in premises:
-        if not any(k & s == k for k in kept):
-            kept.append(s)
+    rows = ctx.row_masks
+    kept = _scan_subsets(n, lambda s, kept: (
+        all(row >> a & 1 for row in rows if row & s == s)
+        and not any(k & s == k for k in kept)))
     abit = 1 << a
     out = [IndexSet.from_mask(n, m) for m in kept if m != abit]
     out.sort(key=sort_key)
     return out
+
+
+def premise_conclusions(ctx: FormalContext) -> tuple[dict[int, int], list[int]]:
+    """Proper premises of every attribute merged at mask level.
+
+    Returns the map premise mask -> conclusion mask (the attributes the
+    premise is proper for) and each attribute's minimal-transversal
+    count, the trivial {a} included.
+    """
+    n = ctx.n_attributes
+    rows = ctx.row_masks
+    merged: dict[int, int] = {}
+    counts = []
+    for a in range(n):
+        abit = 1 << a
+        masks = dualize_attribute(rows, n, a)
+        counts.append(len(masks))
+        for p in masks:
+            if p != abit:
+                merged[p] = merged.get(p, 0) | abit
+    return merged, counts
 
 
 def proper_premise_base(ctx: FormalContext) -> ImplicationBase:
@@ -151,11 +183,7 @@ def proper_premise_base(ctx: FormalContext) -> ImplicationBase:
     implications sharing a premise aggregate conclusions.
     """
     n = ctx.n_attributes
-    merged: dict[int, int] = {}
-    for a in range(n):
-        abit = 1 << a
-        for p in proper_premises_of(ctx, a):
-            merged[p.mask] = merged.get(p.mask, 0) | abit
+    merged, _ = premise_conclusions(ctx)
     implications = [
         Implication(IndexSet.from_mask(n, pmask),
                     IndexSet.from_mask(n, cmask))
@@ -288,16 +316,18 @@ def brute_force_pseudo_intents(ctx: FormalContext) -> list[AttributeSet]:
     if n > BRUTE_FORCE_PSEUDO_INTENT_LIMIT:
         raise ValueError(
             f"brute force limited to {BRUTE_FORCE_PSEUDO_INTENT_LIMIT} attributes, got {n}")
-    subsets = sorted(range(1 << n), key=lambda m: (m.bit_count(), m))
-    pseudo: list[tuple[int, int]] = []  # (pseudo-intent, closure)
-    for s in subsets:
+    closure: dict[int, int] = {}  # pseudo-intents found so far -> closure
+
+    def pseudo(s: int, _found: list[int]) -> bool:
         closed = _closure_mask(ctx, s)
-        if closed == s:
-            continue
-        if all(not (q != s and q & ~s == 0) or (qc != s and qc & ~s == 0)
-               for q, qc in pseudo):
-            pseudo.append((s, closed))
-    out = [IndexSet.from_mask(n, s) for s, _ in pseudo]
+        if closed == s or not all(
+                not (q != s and q & ~s == 0) or (qc != s and qc & ~s == 0)
+                for q, qc in closure.items()):
+            return False
+        closure[s] = closed
+        return True
+
+    out = [IndexSet.from_mask(n, s) for s in _scan_subsets(n, pseudo)]
     out.sort(key=sort_key)
     return out
 

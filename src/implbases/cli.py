@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from .bases import format_implications, proper_premise_base, stem_base
 from .bounds import (ContextBoundParams, RegimeThresholds,
@@ -18,8 +19,9 @@ from .bounds import (ContextBoundParams, RegimeThresholds,
 from .ctxio import ContextParseError, read_context_file, write_burmeister
 from .randctx import (MultiParamSpec, SingleParamSpec, gen_multi, gen_single,
                       spec_to_keyvalues)
-from .sweep import (DEFAULT_MAX_PROPER_ATTRIBUTES, DEFAULT_MAX_STEM_ATTRIBUTES,
-                    FitError, SweepSpec, fit_exponent, parse_csv, render_csv,
+from .sweep import (CSV_SCHEMA, DEFAULT_MAX_PROPER_ATTRIBUTES,
+                    DEFAULT_MAX_STEM_ATTRIBUTES, FitError, SweepSpec,
+                    fit_exponent, parse_csv, record_fields, render_csv,
                     run_sweep)
 
 
@@ -114,7 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="'stem'/'both' additionally compute the stem base")
     p_sweep.add_argument("--c", type=float, default=1.0)
     p_sweep.add_argument("--c2", type=float, default=0.0)
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--workers", type=int, default=1,
+                         help="accepted and ignored: trials run serially")
     p_sweep.add_argument("--timings", action="store_true",
                          help="include wall-clock columns (breaks byte determinism)")
     p_sweep.add_argument("--max-proper-attrs", type=int,
@@ -139,14 +142,26 @@ def _write_out(path: str, text: str) -> None:
             fh.write(text)
 
 
-def cmd_compute(args) -> int:
+def _read_input(path: str, read):
+    """``read(path)``, or None after one error line on stderr when the
+    file is missing, unreadable, not UTF-8 or malformed."""
     try:
-        ctx = read_context_file(args.context)
+        return read(path)
     except FileNotFoundError:
-        print(f"error: no such file: {args.context}", file=sys.stderr)
-        return 2
+        print(f"error: no such file: {path}", file=sys.stderr)
+    except OSError as exc:
+        print(f"error: {path}: {exc.strerror}", file=sys.stderr)
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: not UTF-8 text ({exc.reason} at byte "
+              f"{exc.start})", file=sys.stderr)
     except ContextParseError as exc:
-        print(f"error: {args.context}: {exc}", file=sys.stderr)
+        print(f"error: {path}: {exc}", file=sys.stderr)
+    return None
+
+
+def cmd_compute(args) -> int:
+    ctx = _read_input(args.context, read_context_file)
+    if ctx is None:
         return 2
     if ctx.n_objects == 0 or ctx.n_attributes == 0:
         print(f"error: {args.context}: context is empty "
@@ -222,6 +237,20 @@ def cmd_gen(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    try:
+        rows = _bound_rows(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if args.format == "json":
+        sys.stdout.write(json.dumps(dict(rows), indent=2, sort_keys=True) + "\n")
+    else:
+        for name, value in rows:
+            sys.stdout.write(f"{name} = {value}\n")
+    return 0
+
+
+def _bound_rows(args) -> list[tuple[str, str]]:
     rows: list[tuple[str, str]] = []
     mq = args.objects * (1.0 - args.p)
     if mq < 3.0:
@@ -240,23 +269,14 @@ def cmd_bounds(args) -> int:
         rows.append(("total_base_log10", repr(total_base_bound_log10(params))))
         rows.append(("lower_total_log10", repr(lower.total_log10)))
     if args.u_size is not None or args.r_size is not None:
-        try:
-            spec = MultiParamSpec(
-                n_objects=args.objects, n_attributes=args.attributes,
-                u_size=args.u_size or 0, r_size=args.r_size or 0,
-                x=args.x, f_prob=args.f_prob, seed=0)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        spec = MultiParamSpec(
+            n_objects=args.objects, n_attributes=args.attributes,
+            u_size=args.u_size or 0, r_size=args.r_size or 0,
+            x=args.x, f_prob=args.f_prob, seed=0)
         report = classify_regime(spec, RegimeThresholds())
         rows.append(("regime", report.regime))
         rows.append(("regime_witness", report.witness))
-    if args.format == "json":
-        sys.stdout.write(json.dumps(dict(rows), indent=2, sort_keys=True) + "\n")
-    else:
-        for name, value in rows:
-            sys.stdout.write(f"{name} = {value}\n")
-    return 0
+    return rows
 
 
 def cmd_sweep(args) -> int:
@@ -283,23 +303,7 @@ def cmd_sweep(args) -> int:
         return 2
     records = run_sweep(spec, workers=args.workers)
     if args.format == "json":
-        payload = []
-        for rec in records:
-            entry = {
-                "cell": rec.cell, "trial": rec.trial, "seed": rec.seed,
-                **rec.params,
-                "mt_min": rec.mt_min, "mt_mean": rec.mt_mean,
-                "mt_max": rec.mt_max, "pp_pairs": rec.pp_pairs,
-                "pp_premises": rec.pp_premises, "stem_count": rec.stem_count,
-                "avg_exponent": rec.avg_exponent,
-                "lower_exponent": rec.lower_exponent,
-                "total_log10": rec.total_log10,
-                "error": rec.error,
-            }
-            if args.timings:
-                entry.update({"gen_ms": rec.gen_ms, "dual_ms": rec.dual_ms,
-                              "stem_ms": rec.stem_ms})
-            payload.append(entry)
+        payload = [record_fields(rec, args.timings) for rec in records]
         _write_out(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     else:
         _write_out(args.out, render_csv(spec, records,
@@ -308,14 +312,17 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    try:
-        with open(args.csv, "r", encoding="utf-8") as fh:
-            rows = parse_csv(fh.read())
-    except FileNotFoundError:
-        print(f"error: no such file: {args.csv}", file=sys.stderr)
+    text = _read_input(args.csv, lambda p: Path(p).read_text(encoding="utf-8"))
+    if text is None:
+        return 2
+    schema = next((line[len("# schema="):] for line in text.split("\n")
+                   if line.startswith("# schema=")), "missing")
+    if schema != str(CSV_SCHEMA):
+        print(f"error: {args.csv}: sweep CSV schema is {schema}, "
+              f"expected {CSV_SCHEMA}", file=sys.stderr)
         return 2
     try:
-        result = fit_exponent(rows)
+        result = fit_exponent(parse_csv(text))
     except FitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

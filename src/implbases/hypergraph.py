@@ -11,7 +11,7 @@ hypergraph containing an empty edge has none at all.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .sets import IndexSet, sort_key
 
@@ -100,16 +100,24 @@ def brute_force_transversals(h: Hypergraph) -> list[IndexSet]:
         raise ValueError(
             f"brute force limited to {BRUTE_FORCE_VERTEX_LIMIT} vertices, got {n}")
     edges = h.edge_masks
-    transversals = [s for s in range(1 << n)
-                    if all(s & e for e in edges)]
-    transversals.sort(key=lambda m: m.bit_count())
-    kept: list[int] = []
-    for s in transversals:
-        if not any(k & s == k for k in kept):
-            kept.append(s)
+    kept = _scan_subsets(n, lambda s, kept: all(s & e for e in edges)
+                         and not any(k & s == k for k in kept))
     out = [IndexSet.from_mask(n, m) for m in kept]
     out.sort(key=sort_key)
     return out
+
+
+def _scan_subsets(n: int, keep: Callable[[int, list[int]], bool]) -> list[int]:
+    """Oracle walk over all ``2**n`` subsets in ascending cardinality:
+    subset ``s`` is kept when ``keep(s, kept)`` holds for the masks kept
+    before it. Shared by the brute-force oracles, which must not rely on
+    the engine they check.
+    """
+    kept: list[int] = []
+    for s in sorted(range(1 << n), key=int.bit_count):
+        if keep(s, kept):
+            kept.append(s)
+    return kept
 
 
 # -- mask-level core ---------------------------------------------------------

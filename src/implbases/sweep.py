@@ -1,12 +1,13 @@
 """Seeded parameter sweeps and scaling-law fits.
 
-A sweep enumerates a parameter grid, runs seeded trials per cell,
-and emits one CSV row per trial plus per-cell mean footer rows. Trial
-seeds derive from the cell's parameters (not its position), so editing
-the grid never changes the data of cells that stay in it. Output is
-byte-deterministic for a given spec regardless of worker count; wall
+A sweep enumerates a parameter grid, runs seeded trials per cell one
+after another in this process, and emits one CSV row per trial plus
+per-cell mean footer rows. Trial seeds derive from the cell's parameters
+(not its position), so editing the grid never changes the data of cells
+that stay in it. Output is byte-deterministic for a given spec; wall
 times are measured but only written when explicitly requested, since
-they are the one nondeterministic field.
+they are the one nondeterministic field. A trial's refusal (a
+``ValueError``) becomes an error row; any other exception propagates.
 
 ``fit_exponent`` fits the free constants of the theoretical bound to
 sweep output: the average-bound constant c (with a multiplicative
@@ -22,16 +23,14 @@ import hashlib
 import io
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bases import stem_base
+from .bases import premise_conclusions, stem_base
 from .bounds import (ContextBoundParams, almost_sure_lower_exponent,
                      avg_pp_exponent, d_of_alpha, total_base_bound_log10)
-from .hypergraph import _transversal_masks
 from .randctx import MultiParamSpec, SingleParamSpec, gen_multi, gen_single
 
 CSV_SCHEMA = 1
@@ -139,26 +138,6 @@ def derive_trial_seed(base_seed: int, cell_params: dict, trial: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _dualize_all(ctx) -> tuple[list[int], int, int]:
-    """Per-attribute minimal-transversal counts plus proper-premise
-    totals (pairs and distinct premises)."""
-    n = ctx.n_attributes
-    full = (1 << n) - 1
-    counts = []
-    pairs = 0
-    premises: set[int] = set()
-    for a in range(n):
-        abit = 1 << a
-        edges = [full & ~row for row in ctx.row_masks if not (row & abit)]
-        masks = _transversal_masks(n, edges)
-        counts.append(len(masks))
-        for mask in masks:
-            if mask != abit:
-                pairs += 1
-                premises.add(mask)
-    return counts, pairs, len(premises)
-
-
 def run_trial(spec: SweepSpec, cell_index: int, cell_params: dict,
               trial: int) -> TrialRecord:
     seed = derive_trial_seed(spec.base_seed, cell_params, trial)
@@ -180,15 +159,15 @@ def run_trial(spec: SweepSpec, cell_index: int, cell_params: dict,
                 u_size=cell_params["u_size"], r_size=cell_params["r_size"],
                 x=cell_params["x"], f_prob=cell_params["f_prob"], seed=seed))
         t1 = time.monotonic()
-        counts, pairs, n_premises = _dualize_all(ctx)
+        merged, counts = premise_conclusions(ctx)
         t2 = time.monotonic()
         rec.gen_ms = (t1 - t0) * 1000.0
         rec.dual_ms = (t2 - t1) * 1000.0
         rec.mt_min = min(counts) if counts else 0
         rec.mt_max = max(counts) if counts else 0
         rec.mt_mean = sum(counts) / len(counts) if counts else 0.0
-        rec.pp_pairs = pairs
-        rec.pp_premises = n_premises
+        rec.pp_pairs = sum(c.bit_count() for c in merged.values())
+        rec.pp_premises = len(merged)
         if spec.with_stem:
             if n > spec.max_stem_attributes:
                 raise ValueError(
@@ -205,7 +184,7 @@ def run_trial(spec: SweepSpec, cell_index: int, cell_params: dict,
                 rec.total_log10 = total_base_bound_log10(params)
                 rec.lower_exponent = almost_sure_lower_exponent(
                     n, cell_params["objects"], p, spec.c2).exponent
-    except Exception as exc:  # per-trial failures become error rows
+    except ValueError as exc:  # refusals become error rows; bugs propagate
         rec.error = str(exc)
     return rec
 
@@ -213,24 +192,31 @@ def run_trial(spec: SweepSpec, cell_index: int, cell_params: dict,
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[TrialRecord]:
     """All trial records, ordered by (cell index, trial index).
 
-    Worker count affects scheduling only; records are identical for any
-    value because each trial is a pure function of its derived seed.
+    Trials run one after another in this process. `workers` is accepted
+    and ignored: a thread pool ran slower than one thread, because the
+    trials are pure Python and hold the interpreter lock.
     """
-    cells = spec.cells()
-    tasks = [(ci, params, t)
-             for ci, params in enumerate(cells)
-             for t in range(spec.trials)]
-    if workers <= 1:
-        records = [run_trial(spec, ci, params, t) for ci, params, t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(
-                lambda args: run_trial(spec, *args), tasks))
-    records.sort(key=lambda r: (r.cell, r.trial))
-    return records
+    return [run_trial(spec, ci, params, t)
+            for ci, params in enumerate(spec.cells())
+            for t in range(spec.trials)]
 
 
 # -- CSV rendering -------------------------------------------------------------
+
+
+MEAN_FIELDS = ("mt_min", "mt_mean", "mt_max", "pp_pairs", "pp_premises",
+               "stem_count")  # averaged in a cell's footer row
+RESULT_FIELDS = MEAN_FIELDS + ("avg_exponent", "lower_exponent", "total_log10")
+TIMING_FIELDS = ("gen_ms", "dual_ms", "stem_ms")
+
+
+def record_fields(rec: TrialRecord, timings: bool = False) -> dict:
+    """Output fields of one record: its position, cell parameters and
+    results, plus wall times on request. The one mapping behind CSV
+    rows (trial and cell-mean) and sweep JSON entries."""
+    names = RESULT_FIELDS + (TIMING_FIELDS if timings else ()) + ("error",)
+    return {"cell": rec.cell, "trial": rec.trial, "seed": rec.seed,
+            **rec.params, **{name: getattr(rec, name) for name in names}}
 
 
 def _fmt(value) -> str:
@@ -239,19 +225,6 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-def _param_fields(params: dict) -> dict:
-    return {
-        "model": params.get("model", ""),
-        "objects": params.get("objects", ""),
-        "attributes": params.get("attributes", ""),
-        "p": _fmt(params.get("p")),
-        "u_size": params.get("u_size", ""),
-        "r_size": params.get("r_size", ""),
-        "x": _fmt(params.get("x")),
-        "f_prob": _fmt(params.get("f_prob")),
-    }
 
 
 def render_csv(spec: SweepSpec, records: Sequence[TrialRecord],
@@ -266,28 +239,13 @@ def render_csv(spec: SweepSpec, records: Sequence[TrialRecord],
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
 
-    def write_record(rec: TrialRecord) -> None:
-        fields = {
-            "row": "trial", "cell": rec.cell, "trial": rec.trial,
-            "seed": rec.seed,
-            **_param_fields(rec.params),
-            "mt_min": _fmt(rec.mt_min), "mt_mean": _fmt(rec.mt_mean),
-            "mt_max": _fmt(rec.mt_max), "pp_pairs": _fmt(rec.pp_pairs),
-            "pp_premises": _fmt(rec.pp_premises),
-            "stem_count": _fmt(rec.stem_count),
-            "avg_exponent": _fmt(rec.avg_exponent),
-            "lower_exponent": _fmt(rec.lower_exponent),
-            "total_log10": _fmt(rec.total_log10),
-            "gen_ms": _fmt(rec.gen_ms) if include_timings else "",
-            "dual_ms": _fmt(rec.dual_ms) if include_timings else "",
-            "stem_ms": _fmt(rec.stem_ms) if include_timings else "",
-            "error": rec.error or "",
-        }
-        writer.writerow([fields[c] for c in CSV_COLUMNS])
+    def write_row(kind: str, rec: TrialRecord, timings: bool) -> None:
+        fields = {"row": kind, **record_fields(rec, timings)}
+        writer.writerow([_fmt(fields.get(c)) for c in CSV_COLUMNS])
 
     by_cell: dict[int, list[TrialRecord]] = {}
     for rec in records:
-        write_record(rec)
+        write_row("trial", rec, include_timings)
         by_cell.setdefault(rec.cell, []).append(rec)
 
     for cell in sorted(by_cell):
@@ -301,20 +259,10 @@ def render_csv(spec: SweepSpec, records: Sequence[TrialRecord],
                 return None
             return sum(vals) / len(vals)
 
-        fields = {
-            "row": "cell_mean", "cell": cell, "trial": len(good), "seed": "",
-            **_param_fields(good[0].params),
-            "mt_min": _fmt(mean("mt_min")), "mt_mean": _fmt(mean("mt_mean")),
-            "mt_max": _fmt(mean("mt_max")), "pp_pairs": _fmt(mean("pp_pairs")),
-            "pp_premises": _fmt(mean("pp_premises")),
-            "stem_count": _fmt(mean("stem_count")),
-            "avg_exponent": _fmt(good[0].avg_exponent),
-            "lower_exponent": _fmt(good[0].lower_exponent),
-            "total_log10": _fmt(good[0].total_log10),
-            "gen_ms": "", "dual_ms": "", "stem_ms": "",
-            "error": "",
-        }
-        writer.writerow([fields[c] for c in CSV_COLUMNS])
+        # bound columns depend on the cell only: take the first trial's
+        write_row("cell_mean", replace(
+            good[0], trial=len(good), seed=None,
+            **{name: mean(name) for name in MEAN_FIELDS}), False)
     return buf.getvalue()
 
 

@@ -264,3 +264,19 @@ def test_format_empty_premise():
 
 def test_format_empty_base():
     assert format_implications(ImplicationBase((), "stem", 2), ("a1", "a2")) == ""
+
+
+def test_dualize_attribute_matches_attribute_hypergraph(toy_context):
+    from implbases import minimal_transversals
+    from implbases.bases import dualize_attribute
+    rows = toy_context.row_masks
+    for ctx in [toy_context] + random_contexts(40, base_seed=11):
+        n = ctx.n_attributes
+        for a in range(n):
+            masks = dualize_attribute(ctx.row_masks, n, a)
+            expected = minimal_transversals(attribute_hypergraph(ctx, a))
+            assert sorted(masks) == sorted(s.mask for s in expected)
+    with pytest.raises(ValueError):
+        dualize_attribute(rows, 5, 5)
+    with pytest.raises(ValueError):
+        dualize_attribute(rows, 5, -1)

@@ -190,3 +190,43 @@ def test_fit_singular_reported(tmp_path):
 
 def test_usage_error_on_unknown_command():
     run_cli("frobnicate", expect_code=2)
+
+
+def assert_one_error_line(proc):
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert proc.stdout == b""
+
+
+@pytest.mark.parametrize("attributes", ["1", "0"])
+def test_bounds_too_few_attributes_usage_error(attributes):
+    proc = run_cli("bounds", "--attributes", attributes, "--objects", "10",
+                   "--p", "0.5", expect_code=2)
+    assert_one_error_line(proc)
+
+
+@pytest.mark.parametrize("command", ["compute", "fit"])
+def test_directory_argument_rejected(command, tmp_path):
+    assert_one_error_line(run_cli(command, str(tmp_path), expect_code=2))
+
+
+@pytest.mark.parametrize("command", ["compute", "fit"])
+def test_non_utf8_file_rejected(command, tmp_path):
+    path = tmp_path / "latin1.cxt"
+    path.write_bytes(b"B\n\n1\n1\n\n\xe9t\xe9\na1\nX\n")
+    proc = run_cli(command, str(path), expect_code=2)
+    assert_one_error_line(proc)
+    assert b"UTF-8" in proc.stderr
+
+
+@pytest.mark.parametrize("header", ["", "# schema=2\n"])
+def test_fit_rejects_missing_or_unknown_schema(header, tmp_path):
+    csv_path = tmp_path / "sweep.csv"
+    run_cli("sweep", "--model", "single", "--objects", "10,14,18",
+            "--attributes", "10,14,18", "--p", "0.5", "--trials", "1",
+            "--seed", "5", "--out", str(csv_path))
+    text = csv_path.read_text().replace("# schema=1\n", header)
+    csv_path.write_text(text)
+    proc = run_cli("fit", str(csv_path), expect_code=2)
+    assert_one_error_line(proc)
+    assert b"schema" in proc.stderr

@@ -1,0 +1,76 @@
+"""Byte pins for the CLI: the sha256 of stdout and the exit code of a
+fixed set of runs.
+
+The digests were recorded before the proper-premise kernel, the trial
+record mapping and the sweep loop were consolidated, so any change to
+the bytes those paths write shows up here. To re-record after a
+deliberate output change, print ``_digest(run_cli(RUNS[name], tmp))``
+for each name in ``RUNS``.
+"""
+
+import contextlib
+import hashlib
+import io
+import os
+
+import pytest
+
+from implbases.cli import main
+
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+TOY = "{root}/data/toy_context.cxt"
+SINGLE = ("sweep", "--model", "single", "--objects", "6,8",
+          "--attributes", "6,7", "--p", "0.3,0.5", "--trials", "2",
+          "--seed", "11", "--base", "both")
+MULTI = ("sweep", "--model", "multi", "--objects", "10", "--attributes", "8",
+         "--u-size", "0,2", "--r-size", "0,3", "--trials", "2", "--seed", "13")
+FIT_CELLS = ("sweep", "--model", "single", "--objects", "10",
+             "--attributes", "8,10,12", "--p", "0.5", "--trials", "2",
+             "--seed", "5", "--out", "{tmp}/three_cells.csv")
+
+# name -> (argument lists run in order, only the last one's stdout pinned)
+RUNS = {
+    "compute_text": [("compute", TOY)],
+    "compute_json": [("compute", TOY, "--format", "json")],
+    "compute_both": [("compute", TOY, "--base", "both")],
+    "sweep_single_csv": [SINGLE],
+    "sweep_single_json": [SINGLE + ("--format", "json")],
+    "sweep_multi_csv": [MULTI],
+    "sweep_multi_json": [MULTI + ("--format", "json")],
+    "sweep_guard_rows": [("sweep", "--objects", "6", "--attributes", "5,8,12",
+                          "--trials", "2", "--seed", "3", "--base", "both",
+                          "--max-proper-attrs", "10", "--max-stem-attrs", "6")],
+    "fit_three_cells": [FIT_CELLS, ("fit", "{tmp}/three_cells.csv")],
+}
+
+EXPECTED = {
+    "compute_both": (0, "2cb46d2ba9f89d1e19f2b12bd4c20ebe90ae783fb8cca7ac7601f3498cf2b89e"),
+    "compute_json": (0, "cae0388faf0feda410ef6582eddab9c0c61e96c7d9d0e3b0fbd8e52e453c930e"),
+    "compute_text": (0, "cc24156ae0ea329cee2c7ae37f434d731b4d73e3e21014ea5f4fef411da53dd7"),
+    "fit_three_cells": (0, "930b9444fb953042bd43d3d8257d92eca4f4e685835f727a7172e2499ae44c5d"),
+    "sweep_guard_rows": (1, "f5d6eef27538edf7ec50be91692e853b94540c77d3923fe063e2cf7472b7bbf1"),
+    "sweep_multi_csv": (0, "b8d5dd7383db571c3804c38e876bcdb3d05537b0b733580937808f51ac584894"),
+    "sweep_multi_json": (0, "a12745aa494367463fb7e12e5276c834883be96aa202a324dd4ad65af964ca9e"),
+    "sweep_single_csv": (0, "d2fd7cd0ec81851e4a0e3d927484ac6e4be7b55ec535b3aefb95e172acd54cc4"),
+    "sweep_single_json": (0, "ec688d8d264ebdaa0d18e0556270667929d4779f38f66a61b701bf68d5550dcf"),
+}
+
+
+def run_cli(arg_lists, tmp) -> tuple[int, bytes]:
+    """Runs the CLI in this process (interpreter start-up would dominate
+    the test's time) and returns the last run's exit code and stdout."""
+    for args in arg_lists:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main([a.format(tmp=tmp, root=ROOT) for a in args])
+    return code, out.getvalue().encode("utf-8")
+
+
+def _digest(result: tuple[int, bytes]) -> tuple[int, str]:
+    code, out = result
+    return code, hashlib.sha256(out).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_cli_output_bytes_pinned(name, tmp_path):
+    assert _digest(run_cli(RUNS[name], tmp_path)) == EXPECTED[name]

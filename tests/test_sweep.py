@@ -208,3 +208,29 @@ def test_lower_envelope_sits_below_all_calibration_trials():
 
 def test_lower_envelope_empty_when_no_usable_trials():
     assert fit_lower_envelope([(10, 4, 0.5, 3.0)]) is None
+
+
+def test_run_trial_lets_bugs_propagate(monkeypatch):
+    """Only refusals (ValueError) become error rows; anything else is a
+    bug and must surface."""
+    import implbases.sweep as sweep_mod
+
+    def broken(ctx):
+        raise RuntimeError("stem base bug")
+
+    monkeypatch.setattr(sweep_mod, "stem_base", broken)
+    spec = small_spec(with_stem=True)
+    with pytest.raises(RuntimeError, match="stem base bug"):
+        sweep_mod.run_trial(spec, 0, spec.cells()[0], 0)
+
+
+def test_trial_counts_match_proper_premise_base():
+    from implbases import gen_single, proper_premise_base
+    from implbases.randctx import SingleParamSpec
+
+    spec = small_spec(objects=(9,), attributes=(8,), trials=3)
+    for rec in run_sweep(spec):
+        base = proper_premise_base(gen_single(SingleParamSpec(
+            n_objects=9, n_attributes=8, p=0.5, seed=rec.seed)))
+        assert rec.pp_pairs == base.pair_count
+        assert rec.pp_premises == base.premise_count
