@@ -8,11 +8,10 @@ committed acceptance-run seeds.
 """
 
 import argparse
-import math
 import sys
 
-from implbases import (FitError, SweepSpec, fit_exponent, fit_lower_envelope,
-                       render_csv, run_sweep)
+from implbases import (FitError, SweepSpec, almost_sure_lower_exponent,
+                       fit_exponent, fit_lower_envelope, render_csv, run_sweep)
 
 
 def main() -> int:
@@ -63,11 +62,8 @@ def main() -> int:
         for r in calibration])
     above = 0
     for rec in records:
-        n = rec.params["attributes"]
-        mq = rec.params["objects"] * (1.0 - rec.params["p"])
-        bound = n ** (math.log(mq) / math.log(1.0 / rec.params["p"])
-                      + c2 * math.log(math.log(mq)))
-        above += rec.mt_mean > bound
+        n, m, p = (rec.params[k] for k in ("attributes", "objects", "p"))
+        above += rec.mt_mean > n ** almost_sure_lower_exponent(n, m, p, c2).exponent
     print(f"lower envelope: c2={c2:.4f}, "
           f"{above}/{len(records)} evaluation trials above the bound")
     return 0

@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from .context import FormalContext
 from .hypergraph import Hypergraph, _scan_subsets, _transversal_masks
-from .sets import AttributeSet, IndexSet, sort_key
+from .sets import AttributeSet, IndexSet, sort_key, sorted_sets
 
 BRUTE_FORCE_PREMISE_LIMIT = 15
 BRUTE_FORCE_PSEUDO_INTENT_LIMIT = 12
@@ -129,11 +129,8 @@ def proper_premises_of(ctx: FormalContext, a: int) -> list[AttributeSet]:
     result is [{}]: every object has `a`, so `a` follows from nothing.
     """
     n = ctx.n_attributes
-    abit = 1 << a
-    out = [IndexSet.from_mask(n, m)
-           for m in dualize_attribute(ctx.row_masks, n, a) if m != abit]
-    out.sort(key=sort_key)
-    return out
+    return sorted_sets(n, (m for m in dualize_attribute(ctx.row_masks, n, a)
+                           if m != 1 << a))
 
 
 def brute_force_proper_premises(ctx: FormalContext, a: int) -> list[AttributeSet]:
@@ -151,10 +148,7 @@ def brute_force_proper_premises(ctx: FormalContext, a: int) -> list[AttributeSet
     kept = _scan_subsets(n, lambda s, kept: (
         all(row >> a & 1 for row in rows if row & s == s)
         and not any(k & s == k for k in kept)))
-    abit = 1 << a
-    out = [IndexSet.from_mask(n, m) for m in kept if m != abit]
-    out.sort(key=sort_key)
-    return out
+    return sorted_sets(n, (m for m in kept if m != 1 << a))
 
 
 def premise_conclusions(ctx: FormalContext) -> tuple[dict[int, int], list[int]]:
@@ -327,9 +321,7 @@ def brute_force_pseudo_intents(ctx: FormalContext) -> list[AttributeSet]:
         closure[s] = closed
         return True
 
-    out = [IndexSet.from_mask(n, s) for s in _scan_subsets(n, pseudo)]
-    out.sort(key=sort_key)
-    return out
+    return sorted_sets(n, _scan_subsets(n, pseudo))
 
 
 # -- text serialization ----------------------------------------------------------

@@ -15,7 +15,10 @@ the log base becomes ``1/p_ctx``. The almost-sure lower bound drops the
 negative).
 
 Bound magnitudes are returned as exponents or log10 values; the raw
-counts overflow floats at experiment scales.
+counts overflow floats at experiment scales. This module is the one home
+of the bounds' terms (``_log_terms``) and of their context domain
+(``in_bound_domain``); the sweep, the fit, the CLI and the scripts take
+both from here.
 """
 
 from __future__ import annotations
@@ -76,6 +79,19 @@ def d_of_alpha(alpha: float) -> float:
     return (alpha + 1.0) ** 2 / (4.0 * alpha)
 
 
+def in_bound_domain(n_objects: int, p: float) -> bool:
+    """True where the single-model context bounds are defined: p in
+    (0, 1) and objects * q >= 3, so that ln ln(objects * q) is defined
+    and positive. Outside it the context is degenerate-dense."""
+    return 0.0 < p < 1.0 and n_objects * (1.0 - p) >= MIN_EDGE_COUNT
+
+
+def _log_terms(m: float, p: float) -> tuple[float, float]:
+    """``log_{1/p}(m)`` and ``ln(ln(m))``: the two terms that every bound
+    here (and the fit of their constants) is built from."""
+    return math.log(m) / math.log(1.0 / p), math.log(math.log(m))
+
+
 def avg_mt_exponent(query: BoundQuery) -> float:
     """Exponent E of the average minimal-transversal bound n**E."""
     if query.m < MIN_EDGE_COUNT:
@@ -84,8 +100,8 @@ def avg_mt_exponent(query: BoundQuery) -> float:
     alpha = query.resolved_alpha
     if alpha <= 0:
         raise ValueError(f"resolved alpha must be > 0, got {alpha}")
-    log_base = math.log(query.m) / math.log(1.0 / query.q)
-    return d_of_alpha(alpha) * log_base + query.c * math.log(math.log(query.m))
+    log_base, lnln = _log_terms(query.m, query.q)
+    return d_of_alpha(alpha) * log_base + query.c * lnln
 
 
 class ContextBoundParams(NamedTuple):
@@ -143,11 +159,11 @@ def almost_sure_lower_exponent(
     if n_attributes < 2:
         raise ValueError(f"n_attributes must be >= 2, got {n_attributes}")
     m = n_objects * (1.0 - p)
-    if m < MIN_EDGE_COUNT:
+    if not in_bound_domain(n_objects, p):
         raise ValueError(
             f"objects * q must be >= {MIN_EDGE_COUNT} (ln ln guard), got {m}")
-    exponent = (math.log(m) / math.log(1.0 / p)
-                + c2 * math.log(math.log(m)))
+    log_base, lnln = _log_terms(m, p)
+    exponent = log_base + c2 * lnln
     total_log10 = (exponent + 1.0) * math.log10(n_attributes)
     return LowerBoundResult(exponent, total_log10)
 

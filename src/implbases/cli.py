@@ -10,19 +10,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .bases import format_implications, proper_premise_base, stem_base
 from .bounds import (ContextBoundParams, RegimeThresholds,
                      almost_sure_lower_exponent, avg_pp_exponent,
-                     classify_regime, total_base_bound_log10)
-from .ctxio import ContextParseError, read_context_file, write_burmeister
+                     classify_regime, in_bound_domain, total_base_bound_log10)
+from .ctxio import read_context_file, write_burmeister
 from .randctx import (MultiParamSpec, SingleParamSpec, gen_multi, gen_single,
                       spec_to_keyvalues)
-from .sweep import (CSV_SCHEMA, DEFAULT_MAX_PROPER_ATTRIBUTES,
-                    DEFAULT_MAX_STEM_ATTRIBUTES, FitError, SweepSpec,
-                    fit_exponent, parse_csv, record_fields, render_csv,
-                    run_sweep)
+from .sweep import (DEFAULT_MAX_PROPER_ATTRIBUTES, DEFAULT_MAX_STEM_ATTRIBUTES,
+                    FitError, SweepSpec, fit_exponent, parse_csv,
+                    record_fields, render_csv, run_sweep)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
@@ -154,7 +154,7 @@ def _read_input(path: str, read):
     except UnicodeDecodeError as exc:
         print(f"error: {path}: not UTF-8 text ({exc.reason} at byte "
               f"{exc.start})", file=sys.stderr)
-    except ContextParseError as exc:
+    except ValueError as exc:  # a malformed context or sweep CSV
         print(f"error: {path}: {exc}", file=sys.stderr)
     return None
 
@@ -251,23 +251,18 @@ def cmd_bounds(args) -> int:
 
 
 def _bound_rows(args) -> list[tuple[str, str]]:
-    rows: list[tuple[str, str]] = []
-    mq = args.objects * (1.0 - args.p)
-    if mq < 3.0:
-        rows.append(("avg_pp_exponent",
-                     f"degenerate-dense (objects*q={mq!r} < 3)"))
-        rows.append(("lower_exponent",
-                     f"degenerate-dense (objects*q={mq!r} < 3)"))
-        rows.append(("total_base_log10",
-                     f"degenerate-dense (objects*q={mq!r} < 3)"))
-    else:
+    if in_bound_domain(args.objects, args.p):
         params = ContextBoundParams(args.attributes, args.objects, args.p, args.c)
         lower = almost_sure_lower_exponent(args.attributes, args.objects,
                                            args.p, args.c2)
-        rows.append(("avg_pp_exponent", repr(avg_pp_exponent(params))))
-        rows.append(("lower_exponent", repr(lower.exponent)))
-        rows.append(("total_base_log10", repr(total_base_bound_log10(params))))
-        rows.append(("lower_total_log10", repr(lower.total_log10)))
+        rows = [("avg_pp_exponent", repr(avg_pp_exponent(params))),
+                ("lower_exponent", repr(lower.exponent)),
+                ("total_base_log10", repr(total_base_bound_log10(params))),
+                ("lower_total_log10", repr(lower.total_log10))]
+    else:
+        mq = args.objects * (1.0 - args.p)
+        rows = [(name, f"degenerate-dense (objects*q={mq!r} < 3)") for name
+                in ("avg_pp_exponent", "lower_exponent", "total_base_log10")]
     if args.u_size is not None or args.r_size is not None:
         spec = MultiParamSpec(
             n_objects=args.objects, n_attributes=args.attributes,
@@ -276,6 +271,13 @@ def _bound_rows(args) -> list[tuple[str, str]]:
         report = classify_regime(spec, RegimeThresholds())
         rows.append(("regime", report.regime))
         rows.append(("regime_witness", report.witness))
+    # counts that no bound takes are refused also where none was
+    # evaluated; checked last, so a refusal by the bounds or by the
+    # regime spec comes first
+    if args.attributes < 2:
+        raise ValueError(f"n_attributes must be >= 2, got {args.attributes}")
+    if args.objects < 0:
+        raise ValueError("counts must be >= 0")
     return rows
 
 
@@ -312,34 +314,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    text = _read_input(args.csv, lambda p: Path(p).read_text(encoding="utf-8"))
-    if text is None:
-        return 2
-    schema = next((line[len("# schema="):] for line in text.split("\n")
-                   if line.startswith("# schema=")), "missing")
-    if schema != str(CSV_SCHEMA):
-        print(f"error: {args.csv}: sweep CSV schema is {schema}, "
-              f"expected {CSV_SCHEMA}", file=sys.stderr)
+    rows = _read_input(
+        args.csv, lambda p: parse_csv(Path(p).read_text(encoding="utf-8")))
+    if rows is None:
         return 2
     try:
-        result = fit_exponent(parse_csv(text))
+        result = fit_exponent(rows)
     except FitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.format == "json":
-        payload = {
-            "c": result.c,
-            "log_k": result.log_k,
-            "c2": result.c2,
-            "max_relative_residual": result.max_relative_residual,
-            "cells": [
-                {"attributes": s.attributes, "objects": s.objects, "p": s.p,
-                 "mean_count": s.mean_count, "fitted_count": s.fitted_count,
-                 "residual_ln": s.residual_ln,
-                 "relative_residual": s.relative_residual}
-                for s in result.cells
-            ],
-        }
+        payload = {**asdict(result),
+                   "max_relative_residual": result.max_relative_residual}
         sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return 0
     sys.stdout.write(f"c = {result.c!r}\n")

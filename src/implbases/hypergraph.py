@@ -2,7 +2,9 @@
 
 The enumerator is Berge multiplication: edges are folded one at a time
 (ascending cardinality) while maintaining the antichain of minimal
-transversals of the prefix. Inner loops work on raw bitmasks.
+transversals of the prefix. Inner loops work on raw bitmasks and return
+families in no fixed order; the public functions sort at the boundary
+(``sets.sorted_sets``).
 
 Degenerate inputs are distinguished deliberately: a hypergraph with no
 edges has the single (vacuous) minimal transversal ``{}``, while a
@@ -13,7 +15,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Sequence
 
-from .sets import IndexSet, sort_key
+from .sets import IndexSet, sorted_sets
 
 BRUTE_FORCE_VERTEX_LIMIT = 20
 
@@ -63,10 +65,8 @@ def normalize(h: Hypergraph) -> Hypergraph:
     The transversal hypergraph depends only on the minimal edges, so
     this is transversal-preserving. Output edge order is lexicographic.
     """
-    kept = _minimize_masks(h.edge_masks)
-    kept_sets = sorted(
-        (IndexSet.from_mask(h.vertex_count, m) for m in kept), key=sort_key)
-    return Hypergraph(h.vertex_count, kept_sets)
+    return Hypergraph(h.vertex_count,
+                      sorted_sets(h.vertex_count, _minimize_masks(h.edge_masks)))
 
 
 def is_transversal(h: Hypergraph, s: IndexSet) -> bool:
@@ -83,10 +83,8 @@ def minimal_transversals(h: Hypergraph) -> list[IndexSet]:
     Returns ``[{}]`` for an edgeless hypergraph and ``[]`` when some edge
     is empty (nothing can intersect it).
     """
-    masks = _transversal_masks(h.vertex_count, h.edge_masks)
-    out = [IndexSet.from_mask(h.vertex_count, m) for m in masks]
-    out.sort(key=sort_key)
-    return out
+    return sorted_sets(h.vertex_count,
+                       _transversal_masks(h.vertex_count, h.edge_masks))
 
 
 def brute_force_transversals(h: Hypergraph) -> list[IndexSet]:
@@ -100,11 +98,9 @@ def brute_force_transversals(h: Hypergraph) -> list[IndexSet]:
         raise ValueError(
             f"brute force limited to {BRUTE_FORCE_VERTEX_LIMIT} vertices, got {n}")
     edges = h.edge_masks
-    kept = _scan_subsets(n, lambda s, kept: all(s & e for e in edges)
-                         and not any(k & s == k for k in kept))
-    out = [IndexSet.from_mask(n, m) for m in kept]
-    out.sort(key=sort_key)
-    return out
+    return sorted_sets(n, _scan_subsets(
+        n, lambda s, kept: all(s & e for e in edges)
+        and not any(k & s == k for k in kept)))
 
 
 def _scan_subsets(n: int, keep: Callable[[int, list[int]], bool]) -> list[int]:
@@ -122,15 +118,6 @@ def _scan_subsets(n: int, keep: Callable[[int, list[int]], bool]) -> list[int]:
 
 # -- mask-level core ---------------------------------------------------------
 
-def _members(mask: int) -> tuple[int, ...]:
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
-
-
 def _minimize_masks(masks: Sequence[int]) -> list[int]:
     """Deduplicated inclusion-minimal subfamily."""
     ordered = sorted(set(masks), key=lambda m: (m.bit_count(), m))
@@ -142,7 +129,8 @@ def _minimize_masks(masks: Sequence[int]) -> list[int]:
 
 
 def _transversal_masks(n: int, edge_masks: Sequence[int]) -> list[int]:
-    """Berge multiplication over bitmasks.
+    """Minimal-transversal masks by Berge multiplication, in no fixed
+    order (callers that need one sort at the boundary).
 
     Folding edge E into antichain T splits T into the part already
     hitting E (kept unchanged) and the misses. Every candidate is
@@ -153,12 +141,10 @@ def _transversal_masks(n: int, edge_masks: Sequence[int]) -> list[int]:
     ``t | {v}`` would already be a subset of t, impossible in an
     antichain).
     """
+    # ascending cardinality keeps intermediate antichains small
     edges = _minimize_masks(edge_masks)
     if any(e == 0 for e in edges):
         return []
-    # ascending cardinality keeps intermediate antichains small; ties
-    # lexicographic by member indices for reproducible folds
-    edges.sort(key=lambda e: (e.bit_count(), _members(e)))
     trans = [0]
     for e in edges:
         hit = []
@@ -168,8 +154,6 @@ def _transversal_masks(n: int, edge_masks: Sequence[int]) -> list[int]:
                 hit.append(t)
             else:
                 miss.append(t)
-        if not miss:
-            continue
         vertices = []
         rest = e
         while rest:

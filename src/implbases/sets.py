@@ -140,3 +140,12 @@ ObjectSet = IndexSet
 def sort_key(s: IndexSet) -> tuple[int, ...]:
     """Lexicographic-by-members order used for all deterministic output."""
     return s.members
+
+
+def sorted_sets(universe: int, masks: Iterable[int]) -> list[IndexSet]:
+    """The canonical form of a set family: `masks` wrapped as index
+    sets over `universe`, in `sort_key` order. Mask-level kernels return
+    families in no fixed order; their callers sort here, at the API
+    boundary."""
+    return sorted((IndexSet.from_mask(universe, m) for m in masks),
+                  key=sort_key)

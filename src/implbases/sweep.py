@@ -29,8 +29,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bases import premise_conclusions, stem_base
-from .bounds import (ContextBoundParams, almost_sure_lower_exponent,
-                     avg_pp_exponent, d_of_alpha, total_base_bound_log10)
+from .bounds import (ContextBoundParams, _log_terms, almost_sure_lower_exponent,
+                     avg_pp_exponent, d_of_alpha, in_bound_domain,
+                     total_base_bound_log10)
 from .randctx import MultiParamSpec, SingleParamSpec, gen_multi, gen_single
 
 CSV_SCHEMA = 1
@@ -176,14 +177,14 @@ def run_trial(spec: SweepSpec, cell_index: int, cell_params: dict,
             t3 = time.monotonic()
             rec.stem_count = len(stem_base(ctx))
             rec.stem_ms = (time.monotonic() - t3) * 1000.0
-        if cell_params["model"] == "single":
-            p = cell_params["p"]
-            if 0.0 < p < 1.0 and cell_params["objects"] * (1.0 - p) >= 3.0:
-                params = ContextBoundParams(n, cell_params["objects"], p, spec.c)
-                rec.avg_exponent = avg_pp_exponent(params)
-                rec.total_log10 = total_base_bound_log10(params)
-                rec.lower_exponent = almost_sure_lower_exponent(
-                    n, cell_params["objects"], p, spec.c2).exponent
+        if (cell_params["model"] == "single"
+                and in_bound_domain(cell_params["objects"], cell_params["p"])):
+            params = ContextBoundParams(n, cell_params["objects"],
+                                        cell_params["p"], spec.c)
+            rec.avg_exponent = avg_pp_exponent(params)
+            rec.total_log10 = total_base_bound_log10(params)
+            rec.lower_exponent = almost_sure_lower_exponent(
+                n, params.n_objects, params.p, spec.c2).exponent
     except ValueError as exc:  # refusals become error rows; bugs propagate
         rec.error = str(exc)
     return rec
@@ -267,8 +268,15 @@ def render_csv(spec: SweepSpec, records: Sequence[TrialRecord],
 
 
 def parse_csv(text: str) -> list[dict]:
-    """Rows of a sweep CSV as dicts; '#' comment lines skipped."""
-    lines = [l for l in text.split("\n") if l and not l.startswith("#")]
+    """Rows of a sweep CSV as dicts; '#' comment lines skipped. Raises
+    ``ValueError`` unless the ``# schema=`` line names this schema."""
+    lines = text.split("\n")
+    schema = next((l[len("# schema="):] for l in lines
+                   if l.startswith("# schema=")), "missing")
+    if schema != str(CSV_SCHEMA):
+        raise ValueError(
+            f"sweep CSV schema is {schema}, expected {CSV_SCHEMA}")
+    lines = [l for l in lines if l and not l.startswith("#")]
     reader = csv.DictReader(lines)
     return list(reader)
 
@@ -306,41 +314,35 @@ class FitResult:
 def _bound_terms(n: int, m_objects: int, p: float) -> tuple[float, float]:
     """Fixed term A and c-coefficient B of ln(bound) = A + c*B."""
     mq = m_objects * (1.0 - p)
-    if mq < 3.0:
-        raise FitError(f"cell objects*q={mq} below ln ln guard")
+    if not in_bound_domain(m_objects, p):
+        raise FitError(f"cell objects*q={mq} below ln ln guard" if 0.0 < p < 1.0
+                       else f"cell p={p!r} outside (0, 1)")
     ln_n = math.log(n)
-    alpha = math.log(mq) / ln_n
-    a_term = d_of_alpha(alpha) * (math.log(mq) / math.log(1.0 / p)) * ln_n
-    b_term = math.log(math.log(mq)) * ln_n
-    return a_term, b_term
+    log_base, lnln = _log_terms(mq, p)
+    return d_of_alpha(math.log(mq) / ln_n) * log_base * ln_n, lnln * ln_n
 
 
 def fit_exponent(rows: Iterable[dict | TrialRecord]) -> FitResult:
     """Least-squares fit of the average-bound constants to sweep data.
 
     Model: ln(mean per-attribute count) = log_k + A(n, m, p) + c * B(n, m, p)
-    with A, B the fixed and c-linear parts of the theoretical exponent
-    times ln(n). Also computes the lower-envelope constant c2 as the
-    minimum implied value over individual trials, so the corresponding
-    lower bound sits at or below every calibration trial.
+    with A, B the fixed and c-linear parts of `avg_pp_exponent` times
+    ln(n), built from the terms in `bounds`. Trial records and CSV rows
+    pass one filter: single-model trial rows without an error whose
+    mt_mean is not blank. Also computes the lower-envelope constant c2
+    as the minimum implied value over individual trials, so the
+    corresponding lower bound sits at or below every calibration trial.
     """
     trials: list[tuple[int, int, float, float]] = []  # (n, m, p, mt_mean)
     for row in rows:
         if isinstance(row, TrialRecord):
-            if row.error is not None or row.mt_mean is None:
-                continue
-            params = row.params
-            if params.get("model") != "single":
-                continue
-            trials.append((params["attributes"], params["objects"],
-                           params["p"], row.mt_mean))
-        else:
-            if row.get("row") != "trial" or row.get("error"):
-                continue
-            if row.get("model") != "single" or not row.get("mt_mean"):
-                continue
-            trials.append((int(row["attributes"]), int(row["objects"]),
-                           float(row["p"]), float(row["mt_mean"])))
+            row = {"row": "trial", **record_fields(row)}
+        if (row.get("row") != "trial" or row.get("error")
+                or row.get("model") != "single"
+                or row.get("mt_mean") in ("", None)):
+            continue
+        trials.append((int(row["attributes"]), int(row["objects"]),
+                       float(row["p"]), float(row["mt_mean"])))
     cells: dict[tuple[int, int, float], list[float]] = {}
     for n, m, p, count in trials:
         cells.setdefault((n, m, p), []).append(count)
@@ -388,10 +390,8 @@ def fit_lower_envelope(
     calibration trial."""
     implied = []
     for n, m, p, count in trials:
-        mq = m * (1.0 - p)
-        if mq < 3.0 or count <= 0:
+        if not in_bound_domain(m, p) or count <= 0:
             continue
-        lnln = math.log(math.log(mq))
-        base_term = math.log(mq) / math.log(1.0 / p)
-        implied.append((math.log(count) / math.log(n) - base_term) / lnln)
+        log_base, lnln = _log_terms(m * (1.0 - p), p)
+        implied.append((math.log(count) / math.log(n) - log_base) / lnln)
     return min(implied) if implied else None

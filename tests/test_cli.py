@@ -230,3 +230,44 @@ def test_fit_rejects_missing_or_unknown_schema(header, tmp_path):
     proc = run_cli("fit", str(csv_path), expect_code=2)
     assert_one_error_line(proc)
     assert b"schema" in proc.stderr
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--attributes", "1", "--objects", "2", "--p", "0.5"),
+     "n_attributes must be >= 2, got 1"),
+    (("--attributes", "0", "--objects", "10", "--p", "0.9"),
+     "n_attributes must be >= 2, got 0"),
+    (("--attributes", "10", "--objects", "-5", "--p", "0.5"),
+     "counts must be >= 0"),
+    (("--attributes", "1", "--objects", "10", "--p", "0.5"),
+     "n_attributes must be >= 2, got 1"),
+    (("--attributes", "10", "--objects", "-5", "--p", "0.5",
+      "--u-size", "0", "--r-size", "3"), "counts must be >= 0"),
+])
+def test_bounds_refuses_counts_also_when_degenerate_dense(args, message):
+    proc = run_cli("bounds", *args, expect_code=2)
+    assert_one_error_line(proc)
+    assert proc.stderr.decode() == f"error: {message}\n"
+
+
+def test_bounds_zero_objects_is_degenerate_dense():
+    out = run_cli("bounds", "--attributes", "10", "--objects", "0",
+                  "--p", "0.5").stdout.decode()
+    assert out == "".join(f"{name} = degenerate-dense (objects*q=0.0 < 3)\n"
+                          for name in ("avg_pp_exponent", "lower_exponent",
+                                       "total_base_log10"))
+
+
+def test_fit_refusal_stderr_lines(tmp_path):
+    csv_path = tmp_path / "sweep.csv"
+    run_cli("sweep", "--objects", "5,10", "--attributes", "6,8", "--p", "0.5",
+            "--seed", "5", "--out", str(csv_path))
+    proc = run_cli("fit", str(csv_path), expect_code=1)
+    assert proc.stderr.decode().splitlines() == [
+        "error: cell objects*q=2.5 below ln ln guard"]
+    text = csv_path.read_text()
+    for header, schema in (("", "missing"), ("# schema=2\n", "2")):
+        csv_path.write_text(text.replace("# schema=1\n", header))
+        proc = run_cli("fit", str(csv_path), expect_code=2)
+        assert proc.stderr.decode().splitlines() == [
+            f"error: {csv_path}: sweep CSV schema is {schema}, expected 1"]

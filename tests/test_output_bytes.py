@@ -27,6 +27,11 @@ MULTI = ("sweep", "--model", "multi", "--objects", "10", "--attributes", "8",
 FIT_CELLS = ("sweep", "--model", "single", "--objects", "10",
              "--attributes", "8,10,12", "--p", "0.5", "--trials", "2",
              "--seed", "5", "--out", "{tmp}/three_cells.csv")
+BOUNDS_REGIME = ("bounds", "--attributes", "40", "--objects", "40", "--p", "0.3",
+                 "--u-size", "0", "--r-size", "40")
+FIT_CELLS_P03 = ("sweep", "--model", "single", "--objects", "10",
+                 "--attributes", "8,10,12", "--p", "0.3", "--trials", "2",
+                 "--seed", "5", "--out", "{tmp}/three_cells_p03.csv")
 
 # name -> (argument lists run in order, only the last one's stdout pinned)
 RUNS = {
@@ -41,6 +46,18 @@ RUNS = {
                           "--trials", "2", "--seed", "3", "--base", "both",
                           "--max-proper-attrs", "10", "--max-stem-attrs", "6")],
     "fit_three_cells": [FIT_CELLS, ("fit", "{tmp}/three_cells.csv")],
+    # bound columns and fit terms at p where 1 - (1 - p) != p in floats
+    "bounds_regime_text": [BOUNDS_REGIME],
+    "bounds_regime_json": [BOUNDS_REGIME + ("--format", "json")],
+    "bounds_degenerate_dense": [("bounds", "--attributes", "40", "--objects",
+                                 "40", "--p", "0.95")],
+    "fit_three_cells_p03": [FIT_CELLS_P03, ("fit", "{tmp}/three_cells_p03.csv")],
+    "fit_three_cells_p03_json": [FIT_CELLS_P03, ("fit", "{tmp}/three_cells_p03.csv",
+                                                 "--format", "json")],
+    "sweep_p01_csv": [("sweep", "--objects", "8", "--attributes", "6,7",
+                       "--p", "0.1", "--trials", "2", "--seed", "17")],
+    "sweep_one_attribute": [("sweep", "--objects", "10", "--attributes", "1",
+                             "--p", "0.5", "--seed", "1")],
 }
 
 EXPECTED = {
@@ -53,6 +70,13 @@ EXPECTED = {
     "sweep_multi_json": (0, "a12745aa494367463fb7e12e5276c834883be96aa202a324dd4ad65af964ca9e"),
     "sweep_single_csv": (0, "d2fd7cd0ec81851e4a0e3d927484ac6e4be7b55ec535b3aefb95e172acd54cc4"),
     "sweep_single_json": (0, "ec688d8d264ebdaa0d18e0556270667929d4779f38f66a61b701bf68d5550dcf"),
+    "bounds_degenerate_dense": (0, "86fe21999774c0d6fadf9fc9502615c2e566f0dc923994bc4dfa5ae63f3239db"),
+    "bounds_regime_json": (0, "4074722bce7d8bfee0f1497b10801d58212ba917b92d981d95b4d7b4ec1b795d"),
+    "bounds_regime_text": (0, "d9e36a3d03d8ceb4cbe2bc65607b2add63e5bcbad853f4fa46cda200ddd31d80"),
+    "fit_three_cells_p03": (0, "ab3c5f9d2394de5c85493e0cf2a10023b97b64f2cdf2231ed184becae09c8519"),
+    "fit_three_cells_p03_json": (0, "bc1f74003707b4d05e007eda647acadee3117198b3d2239c8a4c129bc0a8464d"),
+    "sweep_one_attribute": (1, "fa34ca9a24e5d251ea38e343391662a6b7b170d42a113303bb00910bc8d2887a"),
+    "sweep_p01_csv": (0, "964738e66564fc8e106f27ba579911005f4977a05014b6d65cb0f8f6341a2e9f"),
 }
 
 

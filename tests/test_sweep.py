@@ -234,3 +234,34 @@ def test_trial_counts_match_proper_premise_base():
             n_objects=9, n_attributes=8, p=0.5, seed=rec.seed)))
         assert rec.pp_pairs == base.pair_count
         assert rec.pp_premises == base.premise_count
+
+
+def test_fit_recovers_the_bound_columns_constants():
+    """Counts placed exactly on `avg_pp_exponent` (the sweep's
+    avg_exponent column) give back its c and no leading constant, and a
+    trial exactly on `almost_sure_lower_exponent` gives back its c2."""
+    from implbases import (ContextBoundParams, almost_sure_lower_exponent,
+                           avg_pp_exponent)
+
+    for p in (0.3, 0.7):
+        rows = [{"row": "trial", "error": "", "model": "single",
+                 "attributes": str(n), "objects": str(m), "p": repr(p),
+                 "mt_mean": repr(n ** avg_pp_exponent(
+                     ContextBoundParams(n, m, p, 0.8)))}
+                for n in (10, 20, 40) for m in (20, 60)]
+        result = fit_exponent(rows)
+        assert result.c == pytest.approx(0.8, abs=1e-9)
+        assert result.log_k == pytest.approx(0.0, abs=1e-9)
+    for p in (0.3, 0.7):
+        count = 20 ** almost_sure_lower_exponent(20, 30, p, -0.4).exponent
+        assert fit_lower_envelope([(20, 30, p, count)]) == pytest.approx(
+            -0.4, abs=1e-9)
+
+
+def test_fit_refuses_a_cell_at_p_zero():
+    """log_{1/p} has no base at p = 0: a refusal, not a ZeroDivisionError."""
+    rows = [{"row": "trial", "error": "", "model": "single",
+             "attributes": str(n), "objects": "10", "p": "0.0",
+             "mt_mean": "1.0"} for n in (5, 6, 7)]
+    with pytest.raises(FitError, match=r"cell p=0\.0 outside \(0, 1\)"):
+        fit_exponent(rows)
