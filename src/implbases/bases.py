@@ -5,9 +5,10 @@ base) comes from per-attribute hypergraph dualization: the proper
 premises of attribute `a` are the minimal transversals of the hypergraph
 whose edges are the complements of the rows missing `a`, with the
 trivial transversal {a} removed. The Duquenne-Guigues (stem) base is
-enumerated in lectic order over the sets closed under strict application
-of the implications found so far; its premises are exactly the
-pseudo-intents.
+enumerated in lectic order by one Next-Closure loop over the sets closed
+under strict application of the implications found so far; a candidate's
+closure stops at the first attribute that fails the lectic test. Its
+premises are exactly the pseudo-intents.
 
 Both constructions have brute-force oracles used by the test suite.
 """
@@ -225,18 +226,6 @@ def close_fixpoint(base: ImplicationBase | Iterable[Implication],
 # -- stem base ------------------------------------------------------------------
 
 
-def _strict_close(imps: Sequence[tuple[int, int]], mask: int) -> int:
-    """Fixpoint of applying P -> P'' only where P is a proper subset."""
-    changed = True
-    while changed:
-        changed = False
-        for p, c in imps:
-            if p != mask and p & ~mask == 0 and c & ~mask:
-                mask |= c
-                changed = True
-    return mask
-
-
 def stem_base(ctx: FormalContext) -> ImplicationBase:
     """Duquenne-Guigues base: implications P -> P''\\P over the
     pseudo-intents P, discovered in lectic order.
@@ -244,13 +233,16 @@ def stem_base(ctx: FormalContext) -> ImplicationBase:
     Sets closed under strict application of the pseudo-intent
     implications found so far are exactly the intents plus the
     pseudo-intents; the enumeration walks them with Next-Closure and
-    keeps the non-closed ones.
+    keeps the non-closed ones. Attribute 0 is the most significant
+    position. The candidate at position i, the strict closure of
+    (current below i) + {i}, is dropped at the first added attribute
+    more significant than i: the lectic test is the closure's stop rule.
     """
     n = ctx.n_attributes
     full = (1 << n) - 1
     found: list[tuple[int, int]] = []  # (pseudo-intent, its closure)
     implications: list[Implication] = []
-    current = _strict_close(found, 0)
+    current = 0  # the strict closure of the empty set under no implications
     while True:
         closed = _closure_mask(ctx, current)
         if closed != current:
@@ -260,26 +252,27 @@ def stem_base(ctx: FormalContext) -> ImplicationBase:
                 IndexSet.from_mask(n, closed & ~current)))
         if current == full:
             break
-        current = _next_strict_closed(found, current, n)
+        # at the least significant absent i nothing is forbidden, so
+        # some position is accepted
+        for i in range(n - 1, -1, -1):
+            ibit = 1 << i
+            if current & ibit:
+                continue
+            forbidden = (ibit - 1) & ~current
+            mask = (current & (ibit - 1)) | ibit
+            grew = True
+            while grew and not mask & forbidden:
+                grew = False
+                for p, c in found:  # P -> P'' where P is a proper subset
+                    if p != mask and p & ~mask == 0 and c & ~mask:
+                        mask |= c
+                        grew = True
+                        if mask & forbidden:
+                            break
+            if not mask & forbidden:
+                current = mask
+                break
     return ImplicationBase(tuple(implications), "stem", n)
-
-
-def _next_strict_closed(imps: Sequence[tuple[int, int]], mask: int, n: int) -> int:
-    """Lectic successor among strictly-closed sets (Next-Closure step).
-
-    Attribute 0 is the most significant position of the lectic order.
-    """
-    for i in range(n - 1, -1, -1):
-        ibit = 1 << i
-        if mask & ibit:
-            mask &= ~ibit
-        else:
-            below = (ibit - 1) & mask
-            candidate = _strict_close(imps, below | ibit)
-            added = candidate & ~below
-            if added & -added == ibit:  # no new element more significant than i
-                return candidate
-    raise RuntimeError("no lectic successor below the full set")
 
 
 def _closure_mask(ctx: FormalContext, attrs_mask: int) -> int:

@@ -323,6 +323,9 @@ def cmd_fit(args) -> int:
     except FitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except ValueError as exc:  # a malformed value in a trial row
+        print(f"error: {args.csv}: {exc}", file=sys.stderr)
+        return 2
     if args.format == "json":
         payload = {**asdict(result),
                    "max_relative_residual": result.max_relative_residual}

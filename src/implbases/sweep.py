@@ -83,6 +83,8 @@ class SweepSpec:
             raise ValueError("grid must be nonempty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("seed must be a non-negative integer")
 
     def cells(self) -> list[dict]:
         """Grid cells in deterministic enumeration order."""

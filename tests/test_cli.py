@@ -271,3 +271,26 @@ def test_fit_refusal_stderr_lines(tmp_path):
         proc = run_cli("fit", str(csv_path), expect_code=2)
         assert proc.stderr.decode().splitlines() == [
             f"error: {csv_path}: sweep CSV schema is {schema}, expected 1"]
+
+
+def test_sweep_negative_seed_usage_error():
+    proc = run_cli("sweep", "--objects", "6", "--attributes", "5",
+                   "--seed", "-1", expect_code=2)
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == "error: seed must be a non-negative integer\n"
+
+
+def test_fit_malformed_value_usage_error(tmp_path):
+    csv_path = tmp_path / "sweep.csv"
+    run_cli("sweep", "--objects", "10", "--attributes", "8,10,12",
+            "--p", "0.5", "--seed", "5", "--out", str(csv_path))
+    lines = csv_path.read_text().split("\n")
+    first = next(i for i, line in enumerate(lines) if line.startswith("trial,"))
+    cells = lines[first].split(",")
+    cells[6] = "ten"  # the attributes column
+    lines[first] = ",".join(cells)
+    csv_path.write_text("\n".join(lines))
+    proc = run_cli("fit", str(csv_path), expect_code=2)
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == (
+        f"error: {csv_path}: invalid literal for int() with base 10: 'ten'\n")

@@ -2,10 +2,13 @@
 fixed set of runs.
 
 The digests were recorded before the proper-premise kernel, the trial
-record mapping and the sweep loop were consolidated, so any change to
-the bytes those paths write shows up here. To re-record after a
-deliberate output change, print ``_digest(run_cli(RUNS[name], tmp))``
-for each name in ``RUNS``.
+record mapping and the sweep loop were consolidated, and the stem-base
+pins on 20 x 20 contexts before the Next-Closure loop of ``stem_base``
+was folded into one, so any change to the bytes those paths write shows
+up here. The stem base's JSON listing keeps the lectic order in which
+its implications are found, so it pins the enumeration order too. To
+re-record after a deliberate output change, print
+``_digest(run_cli(RUNS[name], tmp))`` for each name in ``RUNS``.
 """
 
 import contextlib
@@ -33,6 +36,16 @@ FIT_CELLS_P03 = ("sweep", "--model", "single", "--objects", "10",
                  "--attributes", "8,10,12", "--p", "0.3", "--trials", "2",
                  "--seed", "5", "--out", "{tmp}/three_cells_p03.csv")
 
+
+def _gen_g20(seed: int) -> tuple[str, ...]:
+    """A 20 x 20 context at p = 0.5: large enough that most lectic
+    successor candidates are rejected by Next-Closure's lectic test."""
+    return ("gen", "--objects", "20", "--attributes", "20", "--p", "0.5",
+            "--seed", str(seed), "--out", "{tmp}/g20.cxt")
+
+
+STEM_G20 = ("compute", "{tmp}/g20.cxt", "--base", "stem")
+
 # name -> (argument lists run in order, only the last one's stdout pinned)
 RUNS = {
     "compute_text": [("compute", TOY)],
@@ -58,6 +71,10 @@ RUNS = {
                        "--p", "0.1", "--trials", "2", "--seed", "17")],
     "sweep_one_attribute": [("sweep", "--objects", "10", "--attributes", "1",
                              "--p", "0.5", "--seed", "1")],
+    "compute_stem_g20_seed7": [_gen_g20(7), STEM_G20],
+    "compute_stem_g20_seed7_json": [_gen_g20(7), STEM_G20 + ("--format", "json")],
+    "compute_stem_g20_seed29": [_gen_g20(29), STEM_G20],
+    "compute_stem_g20_seed29_json": [_gen_g20(29), STEM_G20 + ("--format", "json")],
 }
 
 EXPECTED = {
@@ -77,6 +94,10 @@ EXPECTED = {
     "fit_three_cells_p03_json": (0, "bc1f74003707b4d05e007eda647acadee3117198b3d2239c8a4c129bc0a8464d"),
     "sweep_one_attribute": (1, "fa34ca9a24e5d251ea38e343391662a6b7b170d42a113303bb00910bc8d2887a"),
     "sweep_p01_csv": (0, "964738e66564fc8e106f27ba579911005f4977a05014b6d65cb0f8f6341a2e9f"),
+    "compute_stem_g20_seed7": (0, "5e064c330f0a016ac7d8078414e050a5929f8bee2c480ef4003b6540b8d1cee7"),
+    "compute_stem_g20_seed7_json": (0, "d338eb74a9b5ba5353d4dc9c5e8c64b13d959b8857a4a6bfe5e24ad445c654a7"),
+    "compute_stem_g20_seed29": (0, "92f40f8d83354fff50b7968c98eea1658d8bf9565498134cf094f385c477af49"),
+    "compute_stem_g20_seed29_json": (0, "139e97877112327b3639cd6f0f3cbd57f6aabc8e13ffbc7c2e8746ebb113f74f"),
 }
 
 

@@ -265,3 +265,9 @@ def test_fit_refuses_a_cell_at_p_zero():
              "mt_mean": "1.0"} for n in (5, 6, 7)]
     with pytest.raises(FitError, match=r"cell p=0\.0 outside \(0, 1\)"):
         fit_exponent(rows)
+
+
+def test_spec_refuses_negative_seed():
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
+        small_spec(base_seed=-1)
+    assert small_spec(base_seed=0).base_seed == 0
