@@ -18,8 +18,7 @@ from .bounds import (ContextBoundParams, RegimeThresholds,
                      almost_sure_lower_exponent, avg_pp_exponent,
                      classify_regime, in_bound_domain, total_base_bound_log10)
 from .ctxio import read_context_file, write_burmeister
-from .randctx import (MultiParamSpec, SingleParamSpec, gen_multi, gen_single,
-                      spec_to_keyvalues)
+from .randctx import gen_multi, gen_single, spec_from_cell, spec_to_keyvalues
 from .sweep import (DEFAULT_MAX_PROPER_ATTRIBUTES, DEFAULT_MAX_STEM_ATTRIBUTES,
                     FitError, SweepSpec, fit_exponent, parse_csv,
                     record_fields, render_csv, run_sweep)
@@ -217,17 +216,8 @@ def cmd_compute(args) -> int:
 
 def cmd_gen(args) -> int:
     try:
-        if args.model == "single":
-            spec = SingleParamSpec(n_objects=args.objects,
-                                   n_attributes=args.attributes,
-                                   p=args.p, seed=args.seed)
-            ctx = gen_single(spec)
-        else:
-            spec = MultiParamSpec(n_objects=args.objects,
-                                  n_attributes=args.attributes,
-                                  u_size=args.u_size, r_size=args.r_size,
-                                  x=args.x, f_prob=args.f_prob, seed=args.seed)
-            ctx = gen_multi(spec)
+        spec = spec_from_cell(vars(args), args.seed)
+        ctx = (gen_single if args.model == "single" else gen_multi)(spec)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -264,10 +254,9 @@ def _bound_rows(args) -> list[tuple[str, str]]:
         rows = [(name, f"degenerate-dense (objects*q={mq!r} < 3)") for name
                 in ("avg_pp_exponent", "lower_exponent", "total_base_log10")]
     if args.u_size is not None or args.r_size is not None:
-        spec = MultiParamSpec(
-            n_objects=args.objects, n_attributes=args.attributes,
-            u_size=args.u_size or 0, r_size=args.r_size or 0,
-            x=args.x, f_prob=args.f_prob, seed=0)
+        spec = spec_from_cell({**vars(args), "model": "multi",
+                               "u_size": args.u_size or 0,
+                               "r_size": args.r_size or 0})
         report = classify_regime(spec, RegimeThresholds())
         rows.append(("regime", report.regime))
         rows.append(("regime_witness", report.witness))

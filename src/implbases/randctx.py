@@ -69,7 +69,7 @@ class MultiParamSpec:
         if self.r_size > 0 and self.n_attributes < 3:
             raise ValueError(
                 "rare attributes require n_attributes >= 3 (1/ln n must be < 1)")
-        if self.x < 0:
+        if not self.x >= 0:  # also refuses nan
             raise ValueError("x must be >= 0")
         if not 0.0 <= self.f_prob <= 1.0:
             raise ValueError(f"f_prob must be in [0, 1], got {self.f_prob}")
@@ -102,6 +102,23 @@ def _sample_columns(n_objects: int, n_attributes: int,
         for o in np.flatnonzero(draws < probs[a]):
             rows[o] |= 1 << a
     return FormalContext.from_row_masks(n_objects, n_attributes, rows)
+
+
+def spec_from_cell(cell: dict,
+                   seed: int = 0) -> SingleParamSpec | MultiParamSpec:
+    """The generator spec of a flat model cell: a dict with ``model``,
+    ``objects`` and ``attributes``, then ``p`` (single model) or
+    ``u_size``, ``r_size``, ``x`` and ``f_prob`` (multi model). Other
+    keys are ignored, so a sweep cell and the parsed flags of ``gen``
+    are both cells. The one place where a spec is built from a cell."""
+    if cell["model"] == "single":
+        return SingleParamSpec(n_objects=cell["objects"],
+                               n_attributes=cell["attributes"],
+                               p=cell["p"], seed=seed)
+    return MultiParamSpec(n_objects=cell["objects"],
+                          n_attributes=cell["attributes"],
+                          u_size=cell["u_size"], r_size=cell["r_size"],
+                          x=cell["x"], f_prob=cell["f_prob"], seed=seed)
 
 
 def gen_single(spec: SingleParamSpec) -> FormalContext:
@@ -157,21 +174,15 @@ def spec_from_keyvalues(text: str) -> SingleParamSpec | MultiParamSpec:
         key, value = line.split("=", 1)
         pairs[key.strip()] = value.strip()
     model = pairs.get("model")
-    if model == "single":
-        return SingleParamSpec(
-            n_objects=int(pairs["objects"]),
-            n_attributes=int(pairs["attributes"]),
-            p=float(pairs["p"]),
-            seed=int(pairs["seed"]),
-        )
-    if model == "multi":
-        return MultiParamSpec(
-            n_objects=int(pairs["objects"]),
-            n_attributes=int(pairs["attributes"]),
-            u_size=int(pairs["u_size"]),
-            r_size=int(pairs["r_size"]),
-            x=float(pairs["x"]),
-            f_prob=float(pairs["f_prob"]),
-            seed=int(pairs["seed"]),
-        )
-    raise ValueError(f"unknown or missing model in key-value spec: {model!r}")
+    if model not in ("single", "multi"):
+        raise ValueError(
+            f"unknown or missing model in key-value spec: {model!r}")
+    model_keys = ({"p": float} if model == "single" else
+                  {"u_size": int, "r_size": int, "x": float, "f_prob": float})
+    cell = {"model": model}
+    for key, kind in {"objects": int, "attributes": int, **model_keys,
+                      "seed": int}.items():
+        if key not in pairs:
+            raise ValueError(f"missing key in key-value spec: {key!r}")
+        cell[key] = kind(pairs[key])
+    return spec_from_cell(cell, cell["seed"])

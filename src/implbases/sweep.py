@@ -6,8 +6,10 @@ per-cell mean footer rows. Trial seeds derive from the cell's parameters
 (not its position), so editing the grid never changes the data of cells
 that stay in it. Output is byte-deterministic for a given spec; wall
 times are measured but only written when explicitly requested, since
-they are the one nondeterministic field. A trial's refusal (a
-``ValueError``) becomes an error row; any other exception propagates.
+they are the one nondeterministic field. A grid that the random model
+refuses in any cell is refused whole, before any trial runs. A trial's
+refusal by a size guard or by the bound (a ``ValueError``) becomes an
+error row; any other exception propagates.
 
 ``fit_exponent`` fits the free constants of the theoretical bound to
 sweep output: the average-bound constant c (with a multiplicative
@@ -32,7 +34,7 @@ from .bases import premise_conclusions, stem_base
 from .bounds import (ContextBoundParams, _log_terms, almost_sure_lower_exponent,
                      avg_pp_exponent, d_of_alpha, in_bound_domain,
                      total_base_bound_log10)
-from .randctx import MultiParamSpec, SingleParamSpec, gen_multi, gen_single
+from .randctx import gen_multi, gen_single, spec_from_cell
 
 CSV_SCHEMA = 1
 CSV_COLUMNS = [
@@ -85,6 +87,8 @@ class SweepSpec:
             raise ValueError("trials must be >= 1")
         if self.base_seed < 0:
             raise ValueError("seed must be a non-negative integer")
+        for cell in self.cells():  # the model's refusal, before any trial
+            spec_from_cell(cell)
 
     def cells(self) -> list[dict]:
         """Grid cells in deterministic enumeration order."""
@@ -152,15 +156,8 @@ def run_trial(spec: SweepSpec, cell_index: int, cell_params: dict,
                 f"refusing proper-premise computation for {n} attributes "
                 f"(guard {spec.max_proper_attributes})")
         t0 = time.monotonic()
-        if cell_params["model"] == "single":
-            ctx = gen_single(SingleParamSpec(
-                n_objects=cell_params["objects"], n_attributes=n,
-                p=cell_params["p"], seed=seed))
-        else:
-            ctx = gen_multi(MultiParamSpec(
-                n_objects=cell_params["objects"], n_attributes=n,
-                u_size=cell_params["u_size"], r_size=cell_params["r_size"],
-                x=cell_params["x"], f_prob=cell_params["f_prob"], seed=seed))
+        gen = gen_single if cell_params["model"] == "single" else gen_multi
+        ctx = gen(spec_from_cell(cell_params, seed))
         t1 = time.monotonic()
         merged, counts = premise_conclusions(ctx)
         t2 = time.monotonic()

@@ -294,3 +294,32 @@ def test_fit_malformed_value_usage_error(tmp_path):
     assert proc.stdout == b""
     assert proc.stderr.decode() == (
         f"error: {csv_path}: invalid literal for int() with base 10: 'ten'\n")
+
+
+def test_gen_nan_x_usage_error():
+    proc = run_cli("gen", "--model", "multi", "--objects", "6", "--attributes",
+                   "4", "--u-size", "2", "--x", "nan", "--seed", "1",
+                   expect_code=2)
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == "error: x must be >= 0\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--objects", "-3", "--attributes", "5"), "counts must be >= 0"),
+    (("--objects", "6", "--attributes", "5", "--p", "1.5"),
+     "p must be in [0, 1], got 1.5"),
+    (("--objects", "6", "--attributes", "5", "--p", "nan"),
+     "p must be in [0, 1], got nan"),
+    (("--model", "multi", "--objects", "6", "--attributes", "5",
+      "--u-size", "-1"), "class sizes must be >= 0"),
+    # only the n = 2 cell is refused; the n = 5 cell alone would run
+    (("--model", "multi", "--objects", "6", "--attributes", "2,5",
+      "--r-size", "1"),
+     "rare attributes require n_attributes >= 3 (1/ln n must be < 1)"),
+    (("--model", "multi", "--objects", "6", "--attributes", "5",
+      "--u-size", "2", "--x", "nan"), "x must be >= 0"),
+])
+def test_sweep_refuses_a_grid_the_model_refuses(args, message):
+    proc = run_cli("sweep", *args, expect_code=2)
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == f"error: {message}\n"

@@ -2,10 +2,11 @@
 fixed set of runs.
 
 The digests were recorded before the proper-premise kernel, the trial
-record mapping and the sweep loop were consolidated, and the stem-base
-pins on 20 x 20 contexts before the Next-Closure loop of ``stem_base``
-was folded into one, so any change to the bytes those paths write shows
-up here. The stem base's JSON listing keeps the lectic order in which
+record mapping and the sweep loop were consolidated, the stem-base pins
+on 20 x 20 contexts before the Next-Closure loop of ``stem_base`` was
+folded into one, and the two ``gen`` pins before every generator spec
+came to be built by ``randctx.spec_from_cell``, so any change to the
+bytes those paths write shows up here. The stem base's JSON listing keeps the lectic order in which
 its implications are found, so it pins the enumeration order too. To
 re-record after a deliberate output change, print
 ``_digest(run_cli(RUNS[name], tmp))`` for each name in ``RUNS``.
@@ -75,6 +76,12 @@ RUNS = {
     "compute_stem_g20_seed7_json": [_gen_g20(7), STEM_G20 + ("--format", "json")],
     "compute_stem_g20_seed29": [_gen_g20(29), STEM_G20],
     "compute_stem_g20_seed29_json": [_gen_g20(29), STEM_G20 + ("--format", "json")],
+    # the generated file itself: header comments and the sampled crosses
+    "gen_single": [("gen", "--objects", "12", "--attributes", "9", "--p", "0.3",
+                    "--seed", "31")],
+    "gen_multi": [("gen", "--model", "multi", "--objects", "12", "--attributes",
+                   "9", "--u-size", "2", "--r-size", "3", "--x", "2.5",
+                   "--f-prob", "0.3", "--seed", "31")],
 }
 
 EXPECTED = {
@@ -98,6 +105,8 @@ EXPECTED = {
     "compute_stem_g20_seed7_json": (0, "d338eb74a9b5ba5353d4dc9c5e8c64b13d959b8857a4a6bfe5e24ad445c654a7"),
     "compute_stem_g20_seed29": (0, "92f40f8d83354fff50b7968c98eea1658d8bf9565498134cf094f385c477af49"),
     "compute_stem_g20_seed29_json": (0, "139e97877112327b3639cd6f0f3cbd57f6aabc8e13ffbc7c2e8746ebb113f74f"),
+    "gen_single": (0, "b7954cda7784644cdff71ff2a3d0ea34760688a19b6e29f78f7f566c0cec1f47"),
+    "gen_multi": (0, "5031efe953f65a159298cd17caa8b86ca73b321084e514f30f056ac27e69578b"),
 }
 
 

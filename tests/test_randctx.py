@@ -129,3 +129,16 @@ def test_keyvalue_accepts_comment_prefixes():
 def test_keyvalue_unknown_model_rejected():
     with pytest.raises(ValueError):
         spec_from_keyvalues("model=other\n")
+
+
+def test_multi_spec_refuses_nan_x():
+    with pytest.raises(ValueError, match="^x must be >= 0$"):
+        MultiParamSpec(6, 4, u_size=2, r_size=0, x=float("nan"))
+
+
+def test_keyvalue_missing_key_names_it():
+    with pytest.raises(ValueError, match="'attributes'"):
+        spec_from_keyvalues("model=single\nobjects=3\n")
+    with pytest.raises(ValueError, match="'x'"):
+        spec_from_keyvalues("model=multi\nobjects=3\nattributes=4\n"
+                            "u_size=0\nr_size=0\nf_prob=0.5\nseed=0\n")

@@ -271,3 +271,38 @@ def test_spec_refuses_negative_seed():
     with pytest.raises(ValueError, match="^seed must be a non-negative integer$"):
         small_spec(base_seed=-1)
     assert small_spec(base_seed=0).base_seed == 0
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (dict(objects=(-3,)), "counts must be >= 0"),
+    (dict(p_values=(1.5,)), "p must be in [0, 1], got 1.5"),
+    (dict(p_values=(float("nan"),)), "p must be in [0, 1], got nan"),
+    (dict(model="multi", u_sizes=(-1,)), "class sizes must be >= 0"),
+    (dict(model="multi", attributes=(2, 5), r_sizes=(1,)),
+     "rare attributes require n_attributes >= 3 (1/ln n must be < 1)"),
+    (dict(model="multi", u_sizes=(2,), x=float("nan")), "x must be >= 0"),
+])
+def test_spec_refuses_a_grid_the_model_refuses(overrides, message):
+    with pytest.raises(ValueError) as info:
+        small_spec(**overrides)
+    assert str(info.value) == message
+
+
+def test_spec_from_cell_matches_hand_built_specs():
+    """Every cell of the SINGLE and MULTI sweep grids pinned in
+    test_output_bytes.py maps to the spec written out by hand."""
+    from implbases.randctx import MultiParamSpec, SingleParamSpec, spec_from_cell
+
+    single = SweepSpec(model="single", objects=(6, 8), attributes=(6, 7),
+                       p_values=(0.3, 0.5), trials=2, base_seed=11)
+    hand = [SingleParamSpec(n_objects=m, n_attributes=n, p=p, seed=s)
+            for m in (6, 8) for n in (6, 7) for p in (0.3, 0.5) for s in (0, 5)]
+    assert [spec_from_cell(cell, s) for cell in single.cells()
+            for s in (0, 5)] == hand
+    multi = SweepSpec(model="multi", objects=(10,), attributes=(8,),
+                      u_sizes=(0, 2), r_sizes=(0, 3), trials=2, base_seed=13)
+    hand = [MultiParamSpec(n_objects=10, n_attributes=8, u_size=u, r_size=r,
+                           x=2.0, f_prob=0.5, seed=s)
+            for u in (0, 2) for r in (0, 3) for s in (0, 5)]
+    assert [spec_from_cell(cell, s) for cell in multi.cells()
+            for s in (0, 5)] == hand
