@@ -1,8 +1,9 @@
 """Hypergraphs over an attribute universe and minimal-transversal enumeration.
 
-The enumerator is Berge multiplication: edges are folded one at a time
-(ascending cardinality) while maintaining the antichain of minimal
-transversals of the prefix. Inner loops work on raw bitmasks and return
+The enumerator is MMCS (Murakami & Uno, 2014): a depth-first search
+that adds one vertex of an uncovered edge at a time, keeps the chosen
+set minimal through per-member crit sets, and holds no intermediate
+family of transversals. Inner loops work on raw bitmasks and return
 families in no fixed order; the public functions sort at the boundary
 (``sets.sorted_sets``).
 
@@ -129,52 +130,72 @@ def _minimize_masks(masks: Sequence[int]) -> list[int]:
 
 
 def _transversal_masks(n: int, edge_masks: Sequence[int]) -> list[int]:
-    """Minimal-transversal masks by Berge multiplication, in no fixed
-    order (callers that need one sort at the boundary).
+    """Minimal-transversal masks by MMCS (Murakami & Uno, Discrete Appl.
+    Math. 170, 2014), in no fixed order (callers that need one sort at
+    the boundary).
 
-    Folding edge E into antichain T splits T into the part already
-    hitting E (kept unchanged) and the misses. Every candidate is
-    ``t | {v}`` for a miss t and v in E. Because misses are disjoint
-    from E, candidates can neither contain one another nor equal a kept
-    set, so the only minimality check needed is against kept sets whose
-    intersection with E is exactly {v} (any other kept subset of
-    ``t | {v}`` would already be a subset of t, impossible in an
-    antichain).
+    A depth-first search grows a set S that stays minimal: every member
+    keeps a crit set, the edges that it alone hits in S. A node branches
+    on the uncovered edge with the fewest candidate vertices; the child
+    for its i-th candidate adds that vertex and drops the later ones
+    from the candidates, so each minimal transversal is reached once. A
+    vertex is added only when it empties no crit set. Edges are indices
+    into the minimized family, so ``occ[v]``, the crit sets and the
+    uncovered edges are all bitsets over edge indices. The search uses
+    an explicit stack: S can hold more vertices than the recursion limit.
     """
-    # ascending cardinality keeps intermediate antichains small
     edges = _minimize_masks(edge_masks)
-    if any(e == 0 for e in edges):
-        return []
-    trans = [0]
-    for e in edges:
-        hit = []
-        miss = []
-        for t in trans:
-            if t & e:
-                hit.append(t)
-            else:
-                miss.append(t)
-        vertices = []
-        rest = e
+    if not edges:
+        return [0]
+    if len(edges) == 1:  # an empty edge minimizes the family to [0]
+        return [1 << v for v in _bits(edges[0])]
+    occ = [0] * n
+    for i, e in enumerate(edges):
+        for v in _bits(e):
+            occ[v] |= 1 << i
+    out: list[int] = []
+    # (S mask, crit sets of S's members, uncovered edges, candidates)
+    stack = [(0, [], (1 << len(edges)) - 1, (1 << n) - 1)]
+    while stack:
+        s, crit, uncov, cand = stack.pop()
+        fewest = n + 1
+        rest = uncov
         while rest:
             low = rest & -rest
-            vertices.append(low.bit_length() - 1)
             rest ^= low
-        # kept sets blocking candidates for vertex v, with v stripped
-        blockers: dict[int, list[int]] = {v: [] for v in vertices}
-        for hmask in hit:
-            he = hmask & e
-            if he & (he - 1) == 0:  # exactly one vertex of e
-                blockers[he.bit_length() - 1].append(hmask & ~he)
-        new = list(hit)
-        for v in vertices:
-            gv = sorted(blockers[v], key=lambda m: m.bit_count())
-            vbit = 1 << v
-            for t in miss:
-                for g in gv:
-                    if g & t == g:
-                        break
+            e = edges[low.bit_length() - 1] & cand
+            c = e.bit_count()
+            if c < fewest:
+                fewest, branch = c, e
+                if c <= 1:
+                    break
+        cand &= ~branch
+        while branch:
+            vbit = branch & -branch
+            branch ^= vbit
+            ov = occ[vbit.bit_length() - 1]
+            keep = ~ov
+            child = []
+            for c in crit:
+                c &= keep
+                if not c:
+                    break
+                child.append(c)
+            else:
+                if uncov & keep:
+                    child.append(ov & uncov)
+                    stack.append((s | vbit, child, uncov & keep, cand))
                 else:
-                    new.append(t | vbit)
-        trans = new
-    return trans
+                    out.append(s | vbit)
+            cand |= vbit
+    return out
+
+
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of `mask`, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from implbases import (Hypergraph, IndexSet, brute_force_transversals,
-                       is_transversal, minimal_transversals, normalize)
+from implbases import (Hypergraph, IndexSet, SingleParamSpec,
+                       attribute_hypergraph, brute_force_transversals,
+                       gen_single, is_transversal, minimal_transversals,
+                       normalize)
 
 
 def hg(n, *edges):
@@ -130,3 +132,51 @@ def test_seeded_oracle_equivalence_checks_hundreds_of_cases():
         edges = [rng.getrandbits(n) for _ in range(rng.randint(0, 12))]
         h = Hypergraph.from_masks(n, edges)
         assert minimal_transversals(h) == brute_force_transversals(h)
+
+
+def test_deep_transversal_needs_no_recursion():
+    # one vertex per edge: the only minimal transversal holds all 1,500
+    # vertices, more than Python's default recursion limit
+    n = 1500
+    out = minimal_transversals(Hypergraph.from_masks(n, [1 << v for v in range(n)]))
+    assert [s.mask for s in out] == [(1 << n) - 1]
+
+
+def test_attribute_hypergraphs_past_the_oracle():
+    # 26 attributes is beyond brute_force_transversals, so check the
+    # defining properties directly: each output hits every edge, each
+    # member has a private edge (hit by no other member), no repeats
+    for seed in (11, 12):
+        ctx = gen_single(SingleParamSpec(26, 26, 0.5, seed=seed))
+        for a in range(ctx.n_attributes):
+            h = attribute_hypergraph(ctx, a)
+            edges = normalize(h).edge_masks
+            masks = [s.mask for s in minimal_transversals(h)]
+            assert masks and len(set(masks)) == len(masks)
+            for t in masks:
+                private = 0
+                for e in edges:
+                    hit = e & t
+                    assert hit
+                    if hit & (hit - 1) == 0:
+                        private |= hit
+                assert private == t
+    rng = random.Random(2026)
+    for _ in range(40):
+        h = Hypergraph.from_masks(14, [rng.getrandbits(14) for _ in range(20)])
+        tr = minimal_transversals(h)
+        assert minimal_transversals(Hypergraph(14, tr)) == list(normalize(h).edges)
+
+
+def test_small_and_degenerate_inputs_match_the_oracle():
+    rng = random.Random(77)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        normal = [rng.randrange(1, 1 << n) for _ in range(rng.randint(0, 2))]
+        for edges in (normal,                          # 0, 1 or 2 edges
+                      normal + normal,                 # duplicates
+                      normal[:1] * 3,                  # one edge, repeated
+                      normal + [0],                    # an empty edge last
+                      [0] + normal):                   # an empty edge first
+            h = Hypergraph.from_masks(n, edges)
+            assert minimal_transversals(h) == brute_force_transversals(h)
