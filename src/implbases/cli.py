@@ -8,6 +8,7 @@ opt-in), so identical invocations produce identical bytes.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import asdict
@@ -133,12 +134,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_out(path: str, text: str) -> None:
+def _open_out(path: str):
+    """The stream for ``--out`` (stdout for '-'), to use in a ``with``
+    block, or None after one error line on stderr when the file cannot
+    be opened for writing."""
     if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        print(f"error: {path}: {exc.strerror}", file=sys.stderr)
+        return None
 
 
 def _read_input(path: str, read):
@@ -221,8 +227,11 @@ def cmd_gen(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    text = write_burmeister(ctx, header_comments=spec_to_keyvalues(spec))
-    _write_out(args.out, text)
+    out = _open_out(args.out)
+    if out is None:
+        return 2
+    with out as fh:
+        fh.write(write_burmeister(ctx, header_comments=spec_to_keyvalues(spec)))
     return 0
 
 
@@ -292,13 +301,16 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    records = run_sweep(spec, workers=args.workers)
-    if args.format == "json":
-        payload = [record_fields(rec, args.timings) for rec in records]
-        _write_out(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    else:
-        _write_out(args.out, render_csv(spec, records,
-                                        include_timings=args.timings))
+    out = _open_out(args.out)  # before any trial runs
+    if out is None:
+        return 2
+    with out as fh:
+        records = run_sweep(spec, workers=args.workers)
+        if args.format == "json":
+            payload = [record_fields(rec, args.timings) for rec in records]
+            fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        else:
+            fh.write(render_csv(spec, records, include_timings=args.timings))
     return 1 if any(rec.error is not None for rec in records) else 0
 
 

@@ -2,9 +2,10 @@
 
 The enumerator is MMCS (Murakami & Uno, 2014): a depth-first search
 that adds one vertex of an uncovered edge at a time, keeps the chosen
-set minimal through per-member crit sets, and holds no intermediate
-family of transversals. Inner loops work on raw bitmasks and return
-families in no fixed order; the public functions sort at the boundary
+set minimal through per-member crit sets by never offering a vertex
+that would empty one, and holds no intermediate family of
+transversals. Inner loops work on raw bitmasks and return families in
+no fixed order; the public functions sort at the boundary
 (``sets.sorted_sets``).
 
 Degenerate inputs are distinguished deliberately: a hypergraph with no
@@ -135,14 +136,22 @@ def _transversal_masks(n: int, edge_masks: Sequence[int]) -> list[int]:
     the boundary).
 
     A depth-first search grows a set S that stays minimal: every member
-    keeps a crit set, the edges that it alone hits in S. A node branches
-    on the uncovered edge with the fewest candidate vertices; the child
-    for its i-th candidate adds that vertex and drops the later ones
-    from the candidates, so each minimal transversal is reached once. A
-    vertex is added only when it empties no crit set. Edges are indices
-    into the minimized family, so ``occ[v]``, the crit sets and the
-    uncovered edges are all bitsets over edge indices. The search uses
-    an explicit stack: S can hold more vertices than the recursion limit.
+    keeps a crit set, the edges that it alone hits in S. Adding vertex v
+    leaves member u without one exactly when v lies in every edge of
+    crit(u), the meet of crit(u); such a vertex is blocked. Crit sets
+    only shrink as S grows, so a blocked vertex stays blocked in the
+    whole subtree and leaves the candidates for good. A child recomputes
+    the meet of each member whose crit set lost an edge, and of the new
+    member. A node branches on the uncovered edge with the fewest
+    candidates; the child for its i-th candidate adds that vertex and
+    drops the later ones from the candidates, so each minimal
+    transversal is reached once. Every child is minimal by
+    construction: one that covers the last uncovered edge is emitted at
+    once, and a node with an uncovered edge that has no candidate left
+    is a dead end and makes no child. Edges are indices into the
+    minimized family, so ``occ[v]``, the crit sets and the uncovered
+    edges are all bitsets over edge indices. The search uses an
+    explicit stack: S can hold more vertices than the recursion limit.
     """
     edges = _minimize_masks(edge_masks)
     if not edges:
@@ -154,7 +163,8 @@ def _transversal_masks(n: int, edge_masks: Sequence[int]) -> list[int]:
         for v in _bits(e):
             occ[v] |= 1 << i
     out: list[int] = []
-    # (S mask, crit sets of S's members, uncovered edges, candidates)
+    # (S mask, crit sets of S's members, uncovered edges, candidates);
+    # no candidate is blocked
     stack = [(0, [], (1 << len(edges)) - 1, (1 << n) - 1)]
     while stack:
         s, crit, uncov, cand = stack.pop()
@@ -169,26 +179,40 @@ def _transversal_masks(n: int, edge_masks: Sequence[int]) -> list[int]:
                 fewest, branch = c, e
                 if c <= 1:
                     break
+        # a dead end (an uncovered edge without candidates) branches on
+        # nothing
         cand &= ~branch
         while branch:
             vbit = branch & -branch
             branch ^= vbit
             ov = occ[vbit.bit_length() - 1]
-            keep = ~ov
-            child = []
-            for c in crit:
-                c &= keep
-                if not c:
-                    break
-                child.append(c)
+            left = uncov & ~ov
+            if not left:
+                out.append(s | vbit)
             else:
-                if uncov & keep:
-                    child.append(ov & uncov)
-                    stack.append((s | vbit, child, uncov & keep, cand))
-                else:
-                    out.append(s | vbit)
+                child = []
+                free = cand
+                for c in crit:
+                    lost = c & ov
+                    if lost:
+                        c ^= lost
+                        free &= ~_meet(edges, c, free)
+                    child.append(c)
+                c = ov & uncov
+                child.append(c)
+                free &= ~_meet(edges, c, free)
+                stack.append((s | vbit, child, left, free))
             cand |= vbit
     return out
+
+
+def _meet(edges: list[int], crit: int, within: int) -> int:
+    """The vertices of `within` that lie in every edge indexed by `crit`."""
+    while crit and within:
+        low = crit & -crit
+        crit ^= low
+        within &= edges[low.bit_length() - 1]
+    return within
 
 
 def _bits(mask: int) -> list[int]:

@@ -323,3 +323,31 @@ def test_sweep_refuses_a_grid_the_model_refuses(args, message):
     proc = run_cli("sweep", *args, expect_code=2)
     assert proc.stdout == b""
     assert proc.stderr.decode() == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ("gen", "--objects", "6", "--attributes", "5", "--seed", "1"),
+    ("sweep", "--objects", "6", "--attributes", "5", "--seed", "1"),
+    ("sweep", "--objects", "6", "--attributes", "5", "--seed", "1",
+     "--format", "json"),
+])
+def test_unwritable_out_usage_error(command, tmp_path):
+    for out, reason in ((tmp_path / "missing" / "out.txt",
+                         "No such file or directory"),
+                        (tmp_path, "Is a directory")):
+        proc = run_cli(*command, "--out", str(out), expect_code=2)
+        assert proc.stdout == b""
+        assert proc.stderr.decode() == f"error: {out}: {reason}\n"
+
+
+def test_sweep_refuses_unwritable_out_before_any_trial(tmp_path):
+    # one trial at n = m = 60 runs for hours; the refusal must come first
+    out = tmp_path / "missing" / "sweep.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "implbases", "sweep", "--objects", "60",
+         "--attributes", "60", "--p", "0.5", "--out", str(out)],
+        capture_output=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == (
+        f"error: {out}: No such file or directory\n")

@@ -180,3 +180,39 @@ def test_small_and_degenerate_inputs_match_the_oracle():
                       [0] + normal):                   # an empty edge first
             h = Hypergraph.from_masks(n, edges)
             assert minimal_transversals(h) == brute_force_transversals(h)
+
+
+def test_dead_end_with_blocked_candidates_matches_the_oracle():
+    # edges {0,2} {1,2} {0,3} {1,3}: the search reaches S = {0, 2} with
+    # {1,3} uncovered; 3 was left to a sibling and 1 is blocked (adding
+    # it would leave 2 without a private edge), so the node is dropped
+    h = hg(4, [0, 2], [1, 2], [0, 3], [1, 3])
+    assert as_member_sets(minimal_transversals(h)) == [(0, 1), (2, 3)]
+    assert minimal_transversals(h) == brute_force_transversals(h)
+    # the same dead end with three more edges, over a larger universe
+    h = hg(7, [0, 2], [1, 2], [0, 3], [1, 3], [3, 6], [3, 4], [0, 1, 4, 5, 6])
+    assert minimal_transversals(h) == brute_force_transversals(h)
+
+
+def test_dense_hypergraphs_match_the_oracle():
+    # edges hold about three vertices in four, so many vertices are
+    # blocked below the root
+    rng = random.Random(4711)
+    for _ in range(20):
+        n = rng.randint(12, 14)
+        edges = [rng.getrandbits(n) | rng.getrandbits(n)
+                 for _ in range(rng.randint(25, 40))]
+        h = Hypergraph.from_masks(n, edges)
+        assert minimal_transversals(h) == brute_force_transversals(h)
+
+
+def test_attribute_hypergraph_gives_its_attribute_once_and_no_superset():
+    # every edge of attribute a's hypergraph contains a, so {a} is a
+    # minimal transversal and a is blocked everywhere below the root
+    ctx = gen_single(SingleParamSpec(20, 14, 0.5, seed=5))
+    for a in range(ctx.n_attributes):
+        h = attribute_hypergraph(ctx, a)
+        assert h.edges
+        masks = [s.mask for s in minimal_transversals(h)]
+        assert masks.count(1 << a) == 1
+        assert not any(m & (1 << a) and m != 1 << a for m in masks)
