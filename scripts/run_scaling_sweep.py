@@ -63,7 +63,7 @@ def main() -> int:
     above = 0
     for rec in records:
         n, m, p = (rec.params[k] for k in ("attributes", "objects", "p"))
-        above += rec.mt_mean > n ** almost_sure_lower_exponent(n, m, p, c2).exponent
+        above += rec.mt_mean > n ** almost_sure_lower_exponent(n, m, p, c2)
     print(f"lower envelope: c2={c2:.4f}, "
           f"{above}/{len(records)} evaluation trials above the bound")
     return 0

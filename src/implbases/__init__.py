@@ -13,9 +13,9 @@ from .bases import (Implication, ImplicationBase, attribute_hypergraph,
                     close_fixpoint, close_once, format_implications,
                     proper_premise_base, proper_premises_of, stem_base)
 from .bounds import (BoundQuery, ContextBoundParams, RegimeReport,
-                     RegimeThresholds, almost_sure_lower_exponent,
-                     avg_mt_exponent, avg_pp_exponent, classify_regime,
-                     d_of_alpha, total_base_bound_log10)
+                     almost_sure_lower_exponent, avg_mt_exponent,
+                     avg_pp_exponent, base_size_log10, classify_regime,
+                     d_of_alpha)
 from .context import FormalContext
 from .ctxio import (ContextParseError, read_burmeister, read_burmeister_file,
                     read_context_file, read_csv_matrix, write_burmeister)
@@ -33,9 +33,9 @@ __all__ = [
     "AttributeSet", "BoundQuery", "ContextBoundParams", "ContextParseError",
     "FitError", "FitResult", "FormalContext", "Hypergraph", "Implication",
     "ImplicationBase", "IndexSet", "MultiParamSpec", "ObjectSet",
-    "RegimeReport", "RegimeThresholds", "SingleParamSpec", "SweepSpec",
-    "TrialRecord", "almost_sure_lower_exponent", "attribute_hypergraph",
-    "avg_mt_exponent", "avg_pp_exponent", "brute_force_proper_premises",
+    "RegimeReport", "SingleParamSpec", "SweepSpec", "TrialRecord",
+    "almost_sure_lower_exponent", "attribute_hypergraph", "avg_mt_exponent",
+    "avg_pp_exponent", "base_size_log10", "brute_force_proper_premises",
     "brute_force_pseudo_intents", "brute_force_transversals",
     "classify_regime", "close_fixpoint", "close_once", "d_of_alpha",
     "derive_trial_seed", "effective_probabilities", "fit_exponent",
@@ -44,8 +44,7 @@ __all__ = [
     "proper_premise_base", "proper_premises_of", "read_burmeister",
     "read_burmeister_file", "read_context_file", "read_csv_matrix",
     "render_csv", "run_sweep", "run_trial", "spec_from_keyvalues",
-    "spec_to_keyvalues", "stem_base", "total_base_bound_log10",
-    "write_burmeister",
+    "spec_to_keyvalues", "stem_base", "write_burmeister",
 ]
 
 __version__ = "0.1.0"

@@ -1,24 +1,25 @@
 """Closed-form size-bound evaluators and the multi-model regime classifier.
 
 The average-size bound for minimal transversals of a random hypergraph
-(n vertices, m edges with m = beta * n^alpha, vertex-in-edge probability
-p) has the shape ``n ** E`` with::
+(n vertices, m edges, vertex-in-edge probability p) has the shape
+``n ** E`` with::
 
     E = d(alpha) * log_{1/q}(m) + c * ln(ln(m)),   q = 1 - p
 
-where ``d(alpha)`` is 1 for alpha <= 1 and ``(alpha+1)^2 / (4*alpha)``
-above, and c is an unspecified positive constant. Per-attribute proper
-premise counts follow by the context-to-hypergraph mapping: edge count
-``m = n_objects * q_ctx`` and vertex-in-edge probability ``q_ctx``, so
-the log base becomes ``1/p_ctx``. The almost-sure lower bound drops the
-``d(alpha)`` factor and carries its own constant c2 (which may be
-negative).
+where ``alpha = ln(m) / ln(n)``, ``d(alpha)`` is 1 for alpha <= 1 and
+``(alpha+1)^2 / (4*alpha)`` above, and c is an unspecified positive
+constant. Per-attribute proper premise counts follow by the
+context-to-hypergraph mapping: edge count ``m = n_objects * q_ctx`` and
+vertex-in-edge probability ``q_ctx``, so the log base becomes
+``1/p_ctx``. The almost-sure lower bound drops the ``d(alpha)`` factor
+and carries its own constant c2 (which may be negative).
 
-Bound magnitudes are returned as exponents or log10 values; the raw
-counts overflow floats at experiment scales. This module is the one home
-of the bounds' terms (``_log_terms``) and of their context domain
-(``in_bound_domain``); the sweep, the fit, the CLI and the scripts take
-both from here.
+Every bound is one float exponent E of the attribute count; the raw
+counts overflow floats at experiment scales. ``base_size_log10`` turns
+either per-attribute exponent into the log10 of the whole base,
+``|A| ** (E + 1)``. This module is the one home of the bounds' terms
+(``_log_terms``) and of their context domain (``in_bound_domain``); the
+sweep, the fit, the CLI and the scripts take both from here.
 """
 
 from __future__ import annotations
@@ -34,18 +35,12 @@ MIN_EDGE_COUNT = 3.0  # ln(ln(m)) must be defined and positive
 
 @dataclass(frozen=True)
 class BoundQuery:
-    """Parameters of the hypergraph-level average bound.
-
-    `alpha` defaults to ln(m/beta)/ln(n); pass it explicitly to pin a
-    different scaling regime.
-    """
+    """Parameters of the hypergraph-level average bound."""
 
     n: int
     m: float
     p: float
     c: float = 1.0
-    beta: float = 1.0
-    alpha: float | None = None
 
     def __post_init__(self) -> None:
         if self.n < 2:
@@ -54,20 +49,10 @@ class BoundQuery:
             raise ValueError(f"m must be >= 1, got {self.m}")
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must be in (0, 1), got {self.p}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
-        if self.alpha is not None and self.alpha <= 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
 
     @property
     def q(self) -> float:
         return 1.0 - self.p
-
-    @property
-    def resolved_alpha(self) -> float:
-        if self.alpha is not None:
-            return self.alpha
-        return math.log(self.m / self.beta) / math.log(self.n)
 
 
 def d_of_alpha(alpha: float) -> float:
@@ -97,9 +82,7 @@ def avg_mt_exponent(query: BoundQuery) -> float:
     if query.m < MIN_EDGE_COUNT:
         raise ValueError(
             f"edge count m must be >= {MIN_EDGE_COUNT} (ln ln m guard), got {query.m}")
-    alpha = query.resolved_alpha
-    if alpha <= 0:
-        raise ValueError(f"resolved alpha must be > 0, got {alpha}")
+    alpha = math.log(query.m) / math.log(query.n)
     log_base, lnln = _log_terms(query.m, query.q)
     return d_of_alpha(alpha) * log_base + query.c * lnln
 
@@ -132,27 +115,20 @@ def avg_pp_exponent(params: ContextBoundParams) -> float:
     return avg_mt_exponent(map_context_to_hypergraph(params))
 
 
-def total_base_bound_log10(params: ContextBoundParams) -> float:
-    """log10 of |A| ** (E + 1): upper bound for the whole proper-premise
-    base, and thereby for the pseudo-intent count as well."""
-    exponent = avg_pp_exponent(params)
-    return (exponent + 1.0) * math.log10(params.n_attributes)
-
-
-class LowerBoundResult(NamedTuple):
-    exponent: float        # per-attribute: count >~ |A| ** exponent
-    total_log10: float     # whole base: log10(|A| ** (exponent + 1))
+def base_size_log10(exponent: float, n_attributes: int) -> float:
+    """log10 of |A| ** (E + 1): the whole base is |A| times the
+    per-attribute bound |A| ** E. With the average exponent this bounds
+    the proper-premise base, and thereby the pseudo-intent count."""
+    return (exponent + 1.0) * math.log10(n_attributes)
 
 
 def almost_sure_lower_exponent(
         n_attributes: int, n_objects: int, p: float, c2: float = 0.0,
-) -> LowerBoundResult:
-    """Almost-sure lower bound on per-attribute transversal counts.
-
-    Exponent is ``log_{1/p}(objects * q) + c2 * ln(ln(objects * q))``;
-    c2 stands in for the unspecified O(ln ln m) constant and may be
-    negative. The total is |A| times the per-attribute bound, reported
-    in log10.
+) -> float:
+    """Exponent of the almost-sure lower bound on per-attribute
+    transversal counts, ``log_{1/p}(objects * q) + c2 * ln(ln(objects *
+    q))``; c2 stands in for the unspecified O(ln ln m) constant and may
+    be negative.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
@@ -163,27 +139,17 @@ def almost_sure_lower_exponent(
         raise ValueError(
             f"objects * q must be >= {MIN_EDGE_COUNT} (ln ln guard), got {m}")
     log_base, lnln = _log_terms(m, p)
-    exponent = log_base + c2 * lnln
-    total_log10 = (exponent + 1.0) * math.log10(n_attributes)
-    return LowerBoundResult(exponent, total_log10)
+    return log_base + c2 * lnln
 
 
 # -- regime classification ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegimeThresholds:
-    """Finite-size stand-ins for the asymptotic class conditions.
-
-    polynomial:       |U ∪ R| <= k1 * ln(n)
-    quasi-polynomial: |R|     <= k2 * ln(n) ** k3
-    exponential:      |R|     >= k4 * n
-    """
-
-    k1: float = 1.0
-    k2: float = 1.0
-    k3: float = 2.0
-    k4: float = 0.5
+# Finite-size stand-ins for the asymptotic class conditions:
+#   polynomial:       |U ∪ R| <= K1 * ln(n)
+#   quasi-polynomial: |R|     <= K2 * ln(n) ** K3
+#   exponential:      |R|     >= K4 * n
+K1, K2, K3, K4 = 1.0, 1.0, 2.0, 0.5
 
 
 @dataclass(frozen=True)
@@ -192,8 +158,7 @@ class RegimeReport:
     witness: str  # the cardinality condition that matched
 
 
-def classify_regime(spec: MultiParamSpec,
-                    thresholds: RegimeThresholds = RegimeThresholds()) -> RegimeReport:
+def classify_regime(spec: MultiParamSpec) -> RegimeReport:
     """Classify a multi-model spec by its attribute-class cardinalities.
 
     The |U ∪ R| condition follows this package's reading of the
@@ -216,16 +181,12 @@ def classify_regime(spec: MultiParamSpec,
     ln_n = math.log(n)
     ur = spec.u_size + spec.r_size
     r = spec.r_size
-    if ur <= thresholds.k1 * ln_n:
+    if ur <= K1 * ln_n:
         return RegimeReport(
-            "polynomial",
-            f"|U∪R|={ur} <= k1*ln(n)={thresholds.k1 * ln_n:.4f}")
-    if r <= thresholds.k2 * ln_n ** thresholds.k3:
+            "polynomial", f"|U∪R|={ur} <= k1*ln(n)={K1 * ln_n:.4f}")
+    if r <= K2 * ln_n ** K3:
         return RegimeReport(
-            "quasi-polynomial",
-            f"|R|={r} <= k2*ln(n)^k3={thresholds.k2 * ln_n ** thresholds.k3:.4f}")
-    if r >= thresholds.k4 * n:
-        return RegimeReport(
-            "exponential",
-            f"|R|={r} >= k4*n={thresholds.k4 * n:.4f}")
+            "quasi-polynomial", f"|R|={r} <= k2*ln(n)^k3={K2 * ln_n ** K3:.4f}")
+    if r >= K4 * n:
+        return RegimeReport("exponential", f"|R|={r} >= k4*n={K4 * n:.4f}")
     return RegimeReport("unclassified", "no cardinality condition matched")

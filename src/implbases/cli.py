@@ -15,9 +15,9 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .bases import format_implications, proper_premise_base, stem_base
-from .bounds import (ContextBoundParams, RegimeThresholds,
-                     almost_sure_lower_exponent, avg_pp_exponent,
-                     classify_regime, in_bound_domain, total_base_bound_log10)
+from .bounds import (ContextBoundParams, almost_sure_lower_exponent,
+                     avg_pp_exponent, base_size_log10, classify_regime,
+                     in_bound_domain)
 from .ctxio import read_context_file, write_burmeister
 from .randctx import gen_multi, gen_single, spec_from_cell, spec_to_keyvalues
 from .sweep import (DEFAULT_MAX_PROPER_ATTRIBUTES, DEFAULT_MAX_STEM_ATTRIBUTES,
@@ -37,13 +37,6 @@ def _float_list(text: str) -> tuple[float, ...]:
         return tuple(float(v) for v in text.split(",") if v != "")
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-
-
-def _probability(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"probability must be in [0, 1], got {text}")
-    return value
 
 
 def _open_probability(text: str) -> float:
@@ -77,12 +70,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--model", choices=["single", "multi"], default="single")
     p_gen.add_argument("--objects", type=int, required=True)
     p_gen.add_argument("--attributes", type=int, required=True)
-    p_gen.add_argument("--p", type=_probability, default=0.5,
+    p_gen.add_argument("--p", type=float, default=0.5,
                        help="cell probability (single model)")
     p_gen.add_argument("--u-size", type=int, default=0)
     p_gen.add_argument("--r-size", type=int, default=0)
     p_gen.add_argument("--x", type=float, default=2.0)
-    p_gen.add_argument("--f-prob", type=_probability, default=0.5)
+    p_gen.add_argument("--f-prob", type=float, default=0.5)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", default="-", help="output path, '-' for stdout")
 
@@ -96,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="with --r-size, also classify the multi-model regime")
     p_bounds.add_argument("--r-size", type=int, default=None)
     p_bounds.add_argument("--x", type=float, default=2.0)
-    p_bounds.add_argument("--f-prob", type=_probability, default=0.5)
+    p_bounds.add_argument("--f-prob", type=float, default=0.5)
     p_bounds.add_argument("--format", choices=["text", "json"], default="text")
 
     p_sweep = sub.add_parser("sweep", help="run a seeded parameter sweep to CSV")
@@ -108,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--u-size", type=_int_list, default=(0,))
     p_sweep.add_argument("--r-size", type=_int_list, default=(0,))
     p_sweep.add_argument("--x", type=float, default=2.0)
-    p_sweep.add_argument("--f-prob", type=_probability, default=0.5)
+    p_sweep.add_argument("--f-prob", type=float, default=0.5)
     p_sweep.add_argument("--trials", type=int, default=1)
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--base", choices=["proper", "stem", "both"],
@@ -251,13 +244,15 @@ def cmd_bounds(args) -> int:
 
 def _bound_rows(args) -> list[tuple[str, str]]:
     if in_bound_domain(args.objects, args.p):
-        params = ContextBoundParams(args.attributes, args.objects, args.p, args.c)
         lower = almost_sure_lower_exponent(args.attributes, args.objects,
                                            args.p, args.c2)
-        rows = [("avg_pp_exponent", repr(avg_pp_exponent(params))),
-                ("lower_exponent", repr(lower.exponent)),
-                ("total_base_log10", repr(total_base_bound_log10(params))),
-                ("lower_total_log10", repr(lower.total_log10))]
+        avg = avg_pp_exponent(ContextBoundParams(
+            args.attributes, args.objects, args.p, args.c))
+        rows = [("avg_pp_exponent", repr(avg)),
+                ("lower_exponent", repr(lower)),
+                ("total_base_log10", repr(base_size_log10(avg, args.attributes))),
+                ("lower_total_log10",
+                 repr(base_size_log10(lower, args.attributes)))]
     else:
         mq = args.objects * (1.0 - args.p)
         rows = [(name, f"degenerate-dense (objects*q={mq!r} < 3)") for name
@@ -266,7 +261,7 @@ def _bound_rows(args) -> list[tuple[str, str]]:
         spec = spec_from_cell({**vars(args), "model": "multi",
                                "u_size": args.u_size or 0,
                                "r_size": args.r_size or 0})
-        report = classify_regime(spec, RegimeThresholds())
+        report = classify_regime(spec)
         rows.append(("regime", report.regime))
         rows.append(("regime_witness", report.witness))
     # counts that no bound takes are refused also where none was

@@ -32,8 +32,8 @@ import numpy as np
 
 from .bases import premise_conclusions, stem_base
 from .bounds import (ContextBoundParams, _log_terms, almost_sure_lower_exponent,
-                     avg_pp_exponent, d_of_alpha, in_bound_domain,
-                     total_base_bound_log10)
+                     avg_pp_exponent, base_size_log10, d_of_alpha,
+                     in_bound_domain)
 from .randctx import gen_multi, gen_single, spec_from_cell
 
 CSV_SCHEMA = 1
@@ -181,9 +181,9 @@ def run_trial(spec: SweepSpec, cell_index: int, cell_params: dict,
             params = ContextBoundParams(n, cell_params["objects"],
                                         cell_params["p"], spec.c)
             rec.avg_exponent = avg_pp_exponent(params)
-            rec.total_log10 = total_base_bound_log10(params)
+            rec.total_log10 = base_size_log10(rec.avg_exponent, n)
             rec.lower_exponent = almost_sure_lower_exponent(
-                n, params.n_objects, params.p, spec.c2).exponent
+                n, params.n_objects, params.p, spec.c2)
     except ValueError as exc:  # refusals become error rows; bugs propagate
         rec.error = str(exc)
     return rec
@@ -350,10 +350,10 @@ def fit_exponent(rows: Iterable[dict | TrialRecord]) -> FitResult:
             f"singular fit: need >= 3 distinct grid cells, got {len(cells)}")
 
     keys = sorted(cells)
+    means = [sum(cells[key]) / len(cells[key]) for key in keys]
     a_terms, b_terms, y = [], [], []
-    for n, m, p in keys:
+    for (n, m, p), mean_count in zip(keys, means):
         a_t, b_t = _bound_terms(n, m, p)
-        mean_count = sum(cells[(n, m, p)]) / len(cells[(n, m, p)])
         if mean_count <= 0:
             raise FitError("cell mean count must be positive to fit in log space")
         a_terms.append(a_t)
@@ -367,8 +367,7 @@ def fit_exponent(rows: Iterable[dict | TrialRecord]) -> FitResult:
     log_k, c = float(solution[0]), float(solution[1])
 
     stats = []
-    for i, (n, m, p) in enumerate(keys):
-        mean_count = sum(cells[(n, m, p)]) / len(cells[(n, m, p)])
+    for i, ((n, m, p), mean_count) in enumerate(zip(keys, means)):
         fitted_ln = log_k + a_terms[i] + c * b_terms[i]
         fitted = math.exp(fitted_ln)
         stats.append(CellStat(

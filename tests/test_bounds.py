@@ -3,10 +3,10 @@ import math
 import pytest
 
 from implbases import (BoundQuery, ContextBoundParams, MultiParamSpec,
-                       RegimeThresholds, almost_sure_lower_exponent,
-                       avg_mt_exponent, avg_pp_exponent, classify_regime,
-                       d_of_alpha, total_base_bound_log10)
-from implbases.bounds import map_context_to_hypergraph
+                       almost_sure_lower_exponent, avg_mt_exponent,
+                       avg_pp_exponent, base_size_log10, classify_regime,
+                       d_of_alpha)
+from implbases.bounds import K1, K2, K3, K4, map_context_to_hypergraph
 
 
 # -- d(alpha) ----------------------------------------------------------------
@@ -42,7 +42,7 @@ def test_d_continuous_at_one_and_increasing_above():
 
 
 def test_avg_mt_exponent_substitution():
-    q = BoundQuery(n=100, m=10, p=0.5, c=1.0, alpha=0.5)
+    q = BoundQuery(n=100, m=10, p=0.5, c=1.0)  # alpha = ln 10 / ln 100 = 0.5
     # log2(10) + ln ln 10, frozen from the closed form
     assert avg_mt_exponent(q) == pytest.approx(4.155960540135318, abs=1e-12)
     assert avg_mt_exponent(q) == pytest.approx(
@@ -50,7 +50,7 @@ def test_avg_mt_exponent_substitution():
 
 
 def test_avg_mt_exponent_c_zero_reduces_to_log_term():
-    q = BoundQuery(n=50, m=10, p=0.5, c=0.0, alpha=0.9)
+    q = BoundQuery(n=50, m=10, p=0.5, c=0.0)  # alpha = ln 10 / ln 50 ~ 0.59
     assert avg_mt_exponent(q) == pytest.approx(math.log2(10), abs=1e-12)
 
 
@@ -80,15 +80,12 @@ def test_avg_mt_exponent_guards():
         BoundQuery(n=1, m=5, p=0.5)
     with pytest.raises(ValueError):
         BoundQuery(n=10, m=5, p=0.0)
-    with pytest.raises(ValueError):
-        BoundQuery(n=10, m=5, p=0.5, alpha=-1.0)
 
 
-def test_alpha_derived_from_m_when_omitted():
-    q = BoundQuery(n=10, m=100, p=0.5)
-    assert q.resolved_alpha == pytest.approx(2.0, abs=1e-12)
-    assert BoundQuery(n=10, m=100, p=0.5, beta=4.0).resolved_alpha == \
-        pytest.approx(math.log(25) / math.log(10), abs=1e-12)
+def test_alpha_derived_from_m():
+    # alpha = ln 100 / ln 10 = 2, so the log term carries d(2) = 9/8
+    q = BoundQuery(n=10, m=100, p=0.5, c=0.0)
+    assert avg_mt_exponent(q) == pytest.approx(9 / 8 * math.log2(100), abs=1e-12)
 
 
 # -- context mapping --------------------------------------------------------------
@@ -125,18 +122,18 @@ def test_variable_mapping_p_vs_q_roles():
 
 
 def test_total_base_bound_log10_substitution():
-    params = ContextBoundParams(5, 5, 0.4, 1.0)
-    assert total_base_bound_log10(params) == pytest.approx(
+    exponent = avg_pp_exponent(ContextBoundParams(5, 5, 0.4, 1.0))
+    assert base_size_log10(exponent, 5) == pytest.approx(
         1.6027561655307827, abs=1e-12)
-    exponent = avg_pp_exponent(params)
-    assert total_base_bound_log10(params) == pytest.approx(
+    assert base_size_log10(exponent, 5) == pytest.approx(
         (exponent + 1.0) * math.log10(5), abs=1e-12)
     assert exponent == pytest.approx(1.2930256743324893, abs=1e-12)
 
 
 def test_total_base_bound_monotone_in_objects():
-    values = [total_base_bound_log10(ContextBoundParams(30, m, 0.5, 1.0))
-              for m in (10, 20, 40, 80)]
+    values = [base_size_log10(
+        avg_pp_exponent(ContextBoundParams(30, m, 0.5, 1.0)), 30)
+        for m in (10, 20, 40, 80)]
     assert all(values[i] < values[i + 1] for i in range(len(values) - 1))
 
 
@@ -144,15 +141,15 @@ def test_total_base_bound_monotone_in_objects():
 
 
 def test_lower_exponent_substitution():
-    res = almost_sure_lower_exponent(50, 50, 0.5, c2=0.0)
-    assert res.exponent == pytest.approx(4.643856189774724, abs=1e-12)
-    assert res.total_log10 == pytest.approx(
-        (res.exponent + 1.0) * math.log10(50), abs=1e-12)
+    exponent = almost_sure_lower_exponent(50, 50, 0.5, c2=0.0)
+    assert exponent == pytest.approx(4.643856189774724, abs=1e-12)
+    assert base_size_log10(exponent, 50) == pytest.approx(
+        (exponent + 1.0) * math.log10(50), abs=1e-12)
 
 
 def test_lower_exponent_with_negative_c2():
-    res = almost_sure_lower_exponent(50, 50, 0.5, c2=-2.0)
-    assert res.exponent == pytest.approx(
+    exponent = almost_sure_lower_exponent(50, 50, 0.5, c2=-2.0)
+    assert exponent == pytest.approx(
         math.log2(25) - 2.0 * math.log(math.log(25)), abs=1e-12)
 
 
@@ -161,7 +158,7 @@ def test_lower_below_average_when_constants_align():
     for p in (0.3, 0.5, 0.7):
         for m in (20, 50):
             avg = avg_pp_exponent(ContextBoundParams(64, m, p, 1.0))
-            low = almost_sure_lower_exponent(64, m, p, c2=0.5).exponent
+            low = almost_sure_lower_exponent(64, m, p, c2=0.5)
             assert low <= avg
 
 
@@ -207,10 +204,29 @@ def test_classify_tightest_wins():
     assert report.regime == "polynomial"
 
 
-def test_classify_threshold_override():
-    strict = RegimeThresholds(k1=0.0, k2=0.0, k3=2.0, k4=0.1)
-    report = classify_regime(mspec(100, 0, 60), strict)
-    assert report.regime == "exponential"
+@pytest.mark.parametrize("n", [100, 1000])
+def test_classify_polynomial_boundary(n):
+    # |U ∪ R| counts both classes; one past K1 * ln n is the next class
+    edge = math.floor(K1 * math.log(n))
+    assert classify_regime(mspec(n, 0, edge)).regime == "polynomial"
+    assert classify_regime(mspec(n, edge, 0)).regime == "polynomial"
+    assert classify_regime(mspec(n, 0, edge + 1)).regime == "quasi-polynomial"
+    assert classify_regime(mspec(n, edge + 1, 0)).regime == "quasi-polynomial"
+
+
+def test_classify_quasi_polynomial_boundary():
+    n = 1000  # K2 * ln(n) ** K3 ~ 47.7, far below K4 * n
+    edge = math.floor(K2 * math.log(n) ** K3)
+    assert classify_regime(mspec(n, 0, edge)).regime == "quasi-polynomial"
+    assert classify_regime(mspec(n, 0, edge + 1)).regime == "unclassified"
+
+
+@pytest.mark.parametrize("n", [100, 101])
+def test_classify_exponential_boundary(n):
+    # K4 * n is 50 at n = 100 (met with equality) and 50.5 at n = 101
+    edge = math.ceil(K4 * n)
+    assert classify_regime(mspec(n, 0, edge)).regime == "exponential"
+    assert classify_regime(mspec(n, 0, edge - 1)).regime == "unclassified"
 
 
 def test_classify_deterministic():

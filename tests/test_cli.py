@@ -296,6 +296,38 @@ def test_fit_malformed_value_usage_error(tmp_path):
         f"error: {csv_path}: invalid literal for int() with base 10: 'ten'\n")
 
 
+@pytest.mark.parametrize("args, message", [
+    (("gen", "--objects", "3", "--attributes", "3", "--p", "1.5"),
+     "p must be in [0, 1], got 1.5"),
+    (("gen", "--model", "multi", "--objects", "3", "--attributes", "3",
+      "--f-prob", "1.5"), "f_prob must be in [0, 1], got 1.5"),
+    (("sweep", "--model", "multi", "--objects", "3", "--attributes", "3",
+      "--f-prob", "1.5"), "f_prob must be in [0, 1], got 1.5"),
+    (("bounds", "--attributes", "10", "--objects", "10", "--p", "0.5",
+      "--u-size", "0", "--r-size", "3", "--f-prob", "1.5"),
+     "f_prob must be in [0, 1], got 1.5"),
+])
+def test_probability_refused_by_the_model(args, message):
+    proc = run_cli(*args, expect_code=2)
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("attributes, objects, p", [
+    ("50", "50", "0.5"), ("10", "200", "0.3"), ("7", "9", "0.6")])
+def test_bounds_totals_are_base_size_of_the_exponents(attributes, objects, p):
+    from implbases import base_size_log10
+
+    out = run_cli("bounds", "--attributes", attributes, "--objects", objects,
+                  "--p", p, "--c", "1.5", "--c2", "-0.5").stdout.decode()
+    rows = dict(line.split(" = ") for line in out.splitlines())
+    n = int(attributes)
+    assert float(rows["total_base_log10"]) == base_size_log10(
+        float(rows["avg_pp_exponent"]), n)
+    assert float(rows["lower_total_log10"]) == base_size_log10(
+        float(rows["lower_exponent"]), n)
+
+
 def test_gen_nan_x_usage_error():
     proc = run_cli("gen", "--model", "multi", "--objects", "6", "--attributes",
                    "4", "--u-size", "2", "--x", "nan", "--seed", "1",

@@ -253,7 +253,7 @@ def test_fit_recovers_the_bound_columns_constants():
         assert result.c == pytest.approx(0.8, abs=1e-9)
         assert result.log_k == pytest.approx(0.0, abs=1e-9)
     for p in (0.3, 0.7):
-        count = 20 ** almost_sure_lower_exponent(20, 30, p, -0.4).exponent
+        count = 20 ** almost_sure_lower_exponent(20, 30, p, -0.4)
         assert fit_lower_envelope([(20, 30, p, count)]) == pytest.approx(
             -0.4, abs=1e-9)
 
