@@ -16,8 +16,7 @@ import argparse
 import math
 import sys
 
-from implbases import (ContextBoundParams, SweepSpec, avg_pp_exponent,
-                       render_csv, run_sweep)
+from implbases import SweepSpec, avg_pp_exponent, render_csv, run_sweep
 
 
 def main() -> int:
@@ -64,8 +63,8 @@ def main() -> int:
     else:
         order = [label for label, _ in cells]
         try:
-            e_rare = avg_pp_exponent(ContextBoundParams(n, m, 1.0 / ln_n))
-            e_free = avg_pp_exponent(ContextBoundParams(n, m, args.f_prob))
+            e_rare = avg_pp_exponent(n, m, 1.0 / ln_n)
+            e_free = avg_pp_exponent(n, m, args.f_prob)
         except ValueError as exc:
             print(f"single-model exponent undefined ({exc}); "
                   "testing in cell order")

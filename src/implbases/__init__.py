@@ -12,8 +12,7 @@ from .bases import (Implication, ImplicationBase, attribute_hypergraph,
                     brute_force_proper_premises, brute_force_pseudo_intents,
                     close_fixpoint, close_once, format_implications,
                     proper_premise_base, proper_premises_of, stem_base)
-from .bounds import (BoundQuery, ContextBoundParams, RegimeReport,
-                     almost_sure_lower_exponent, avg_mt_exponent,
+from .bounds import (RegimeReport, almost_sure_lower_exponent,
                      avg_pp_exponent, base_size_log10, classify_regime,
                      d_of_alpha)
 from .context import FormalContext
@@ -30,11 +29,11 @@ from .sweep import (FitError, FitResult, SweepSpec, TrialRecord,
                     parse_csv, render_csv, run_sweep, run_trial)
 
 __all__ = [
-    "AttributeSet", "BoundQuery", "ContextBoundParams", "ContextParseError",
+    "AttributeSet", "ContextParseError",
     "FitError", "FitResult", "FormalContext", "Hypergraph", "Implication",
     "ImplicationBase", "IndexSet", "MultiParamSpec", "ObjectSet",
     "RegimeReport", "SingleParamSpec", "SweepSpec", "TrialRecord",
-    "almost_sure_lower_exponent", "attribute_hypergraph", "avg_mt_exponent",
+    "almost_sure_lower_exponent", "attribute_hypergraph",
     "avg_pp_exponent", "base_size_log10", "brute_force_proper_premises",
     "brute_force_pseudo_intents", "brute_force_transversals",
     "classify_regime", "close_fixpoint", "close_once", "d_of_alpha",

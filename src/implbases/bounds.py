@@ -11,48 +11,29 @@ where ``alpha = ln(m) / ln(n)``, ``d(alpha)`` is 1 for alpha <= 1 and
 constant. Per-attribute proper premise counts follow by the
 context-to-hypergraph mapping: edge count ``m = n_objects * q_ctx`` and
 vertex-in-edge probability ``q_ctx``, so the log base becomes
-``1/p_ctx``. The almost-sure lower bound drops the ``d(alpha)`` factor
-and carries its own constant c2 (which may be negative).
+``1/p_ctx``. The code evaluates the mapped form only, with the context's
+p itself (never ``1 - (1 - p)``): ``avg_pp_exponent`` and the fit take
+its two terms from ``_avg_terms``. The almost-sure lower bound drops the
+``d(alpha)`` factor and carries its own constant c2 (which may be
+negative).
 
 Every bound is one float exponent E of the attribute count; the raw
 counts overflow floats at experiment scales. ``base_size_log10`` turns
 either per-attribute exponent into the log10 of the whole base,
-``|A| ** (E + 1)``. This module is the one home of the bounds' terms
-(``_log_terms``) and of their context domain (``in_bound_domain``); the
-sweep, the fit, the CLI and the scripts take both from here.
+``|A| ** (E + 1)``. This module is the one home of the bounds' terms and
+refusals (``_log_terms``) and of their context domain
+(``in_bound_domain``); the sweep, the fit, the CLI and the scripts take
+them from here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .randctx import MultiParamSpec
 
 MIN_EDGE_COUNT = 3.0  # ln(ln(m)) must be defined and positive
-
-
-@dataclass(frozen=True)
-class BoundQuery:
-    """Parameters of the hypergraph-level average bound."""
-
-    n: int
-    m: float
-    p: float
-    c: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError(f"n must be >= 2, got {self.n}")
-        if self.m < 1:
-            raise ValueError(f"m must be >= 1, got {self.m}")
-        if not 0.0 < self.p < 1.0:
-            raise ValueError(f"p must be in (0, 1), got {self.p}")
-
-    @property
-    def q(self) -> float:
-        return 1.0 - self.p
 
 
 def d_of_alpha(alpha: float) -> float:
@@ -71,48 +52,40 @@ def in_bound_domain(n_objects: int, p: float) -> bool:
     return 0.0 < p < 1.0 and n_objects * (1.0 - p) >= MIN_EDGE_COUNT
 
 
-def _log_terms(m: float, p: float) -> tuple[float, float]:
-    """``log_{1/p}(m)`` and ``ln(ln(m))``: the two terms that every bound
-    here (and the fit of their constants) is built from."""
+def _log_terms(n_attributes: int, n_objects: int,
+               p: float) -> tuple[float, float]:
+    """``log_{1/p}(objects * q)`` and ``ln(ln(objects * q))``: the two
+    terms that every bound here (and the fit of their constants) is
+    built from. Refuses, in this order, p outside (0, 1), fewer than two
+    attributes, and a context outside ``in_bound_domain``."""
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must be in (0, 1), got {p}")
+    if n_attributes < 2:
+        raise ValueError(f"n_attributes must be >= 2, got {n_attributes}")
+    m = n_objects * (1.0 - p)
+    if not in_bound_domain(n_objects, p):
+        raise ValueError(
+            f"objects * q must be >= {MIN_EDGE_COUNT} (ln ln guard), got {m}")
     return math.log(m) / math.log(1.0 / p), math.log(math.log(m))
 
 
-def avg_mt_exponent(query: BoundQuery) -> float:
-    """Exponent E of the average minimal-transversal bound n**E."""
-    if query.m < MIN_EDGE_COUNT:
-        raise ValueError(
-            f"edge count m must be >= {MIN_EDGE_COUNT} (ln ln m guard), got {query.m}")
-    alpha = math.log(query.m) / math.log(query.n)
-    log_base, lnln = _log_terms(query.m, query.q)
-    return d_of_alpha(alpha) * log_base + query.c * lnln
+def _avg_terms(n_attributes: int, n_objects: int,
+               p: float) -> tuple[float, float]:
+    """Fixed term ``d(alpha) * log_{1/p}(objects * q)`` and c-coefficient
+    ``ln(ln(objects * q))`` of the average exponent, with ``alpha =
+    ln(objects * q) / ln(n_attributes)``."""
+    log_base, lnln = _log_terms(n_attributes, n_objects, p)
+    alpha = math.log(n_objects * (1.0 - p)) / math.log(n_attributes)
+    return d_of_alpha(alpha) * log_base, lnln
 
 
-class ContextBoundParams(NamedTuple):
-    """Context-level inputs for the premise-count bounds."""
-
-    n_attributes: int
-    n_objects: int
-    p: float
-    c: float = 1.0
-
-
-def map_context_to_hypergraph(params: ContextBoundParams) -> BoundQuery:
-    """Variable mapping: the per-attribute hypergraph has one edge per
-    missing cell (m = objects * q) and its vertices appear in edges with
-    the blank probability q, flipping the log base to 1/p."""
-    q_ctx = 1.0 - params.p
-    return BoundQuery(
-        n=params.n_attributes,
-        m=params.n_objects * q_ctx,
-        p=q_ctx,
-        c=params.c,
-    )
-
-
-def avg_pp_exponent(params: ContextBoundParams) -> float:
+def avg_pp_exponent(n_attributes: int, n_objects: int, p: float,
+                    c: float = 1.0) -> float:
     """Exponent of the average per-attribute proper-premise bound
-    |A| ** E. Rejects degenerate-dense inputs (objects * q < 3)."""
-    return avg_mt_exponent(map_context_to_hypergraph(params))
+    |A| ** E. Refuses as ``almost_sure_lower_exponent`` does, so also
+    degenerate-dense inputs (objects * q < 3)."""
+    fixed, lnln = _avg_terms(n_attributes, n_objects, p)
+    return fixed + c * lnln
 
 
 def base_size_log10(exponent: float, n_attributes: int) -> float:
@@ -130,15 +103,7 @@ def almost_sure_lower_exponent(
     q))``; c2 stands in for the unspecified O(ln ln m) constant and may
     be negative.
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
-    if n_attributes < 2:
-        raise ValueError(f"n_attributes must be >= 2, got {n_attributes}")
-    m = n_objects * (1.0 - p)
-    if not in_bound_domain(n_objects, p):
-        raise ValueError(
-            f"objects * q must be >= {MIN_EDGE_COUNT} (ln ln guard), got {m}")
-    log_base, lnln = _log_terms(m, p)
+    log_base, lnln = _log_terms(n_attributes, n_objects, p)
     return log_base + c2 * lnln
 
 

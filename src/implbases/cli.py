@@ -15,9 +15,8 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .bases import format_implications, proper_premise_base, stem_base
-from .bounds import (ContextBoundParams, almost_sure_lower_exponent,
-                     avg_pp_exponent, base_size_log10, classify_regime,
-                     in_bound_domain)
+from .bounds import (almost_sure_lower_exponent, avg_pp_exponent,
+                     base_size_log10, classify_regime, in_bound_domain)
 from .ctxio import read_context_file, write_burmeister
 from .randctx import gen_multi, gen_single, spec_from_cell, spec_to_keyvalues
 from .sweep import (DEFAULT_MAX_PROPER_ATTRIBUTES, DEFAULT_MAX_STEM_ATTRIBUTES,
@@ -246,8 +245,7 @@ def _bound_rows(args) -> list[tuple[str, str]]:
     if in_bound_domain(args.objects, args.p):
         lower = almost_sure_lower_exponent(args.attributes, args.objects,
                                            args.p, args.c2)
-        avg = avg_pp_exponent(ContextBoundParams(
-            args.attributes, args.objects, args.p, args.c))
+        avg = avg_pp_exponent(args.attributes, args.objects, args.p, args.c)
         rows = [("avg_pp_exponent", repr(avg)),
                 ("lower_exponent", repr(lower)),
                 ("total_base_log10", repr(base_size_log10(avg, args.attributes))),

@@ -7,9 +7,11 @@ per-cell mean footer rows. Trial seeds derive from the cell's parameters
 that stay in it. Output is byte-deterministic for a given spec; wall
 times are measured but only written when explicitly requested, since
 they are the one nondeterministic field. A grid that the random model
-refuses in any cell is refused whole, before any trial runs. A trial's
-refusal by a size guard or by the bound (a ``ValueError``) becomes an
-error row; any other exception propagates.
+refuses in any cell is refused whole, before any trial runs. A trial
+refused by a size guard becomes an error row with blank metrics, decided
+before any work; the bound columns stay blank where the bound is not
+defined. Nothing else makes an error row: an exception inside a trial
+is a bug and propagates.
 
 ``fit_exponent`` fits the free constants of the theoretical bound to
 sweep output: the average-bound constant c (with a multiplicative
@@ -31,10 +33,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .bases import premise_conclusions, stem_base
-from .bounds import (ContextBoundParams, _log_terms, almost_sure_lower_exponent,
-                     avg_pp_exponent, base_size_log10, d_of_alpha,
-                     in_bound_domain)
-from .randctx import gen_multi, gen_single, spec_from_cell
+from .bounds import (_avg_terms, _log_terms, almost_sure_lower_exponent,
+                     avg_pp_exponent, base_size_log10, in_bound_domain)
+from .randctx import (effective_probabilities, gen_multi, gen_single,
+                      spec_from_cell)
 
 CSV_SCHEMA = 1
 CSV_COLUMNS = [
@@ -147,45 +149,48 @@ def derive_trial_seed(base_seed: int, cell_params: dict, trial: int) -> int:
 
 def run_trial(spec: SweepSpec, cell_index: int, cell_params: dict,
               trial: int) -> TrialRecord:
+    """One trial's record. Every refusal is decided before any work: a
+    trial that a size guard refuses is an error row with blank metrics,
+    and the bound columns are filled only where the bound is defined,
+    that is for n >= 2, a context that is the single model at one p (all
+    column probabilities equal), and ``in_bound_domain``."""
     seed = derive_trial_seed(spec.base_seed, cell_params, trial)
     rec = TrialRecord(cell=cell_index, trial=trial, seed=seed, params=cell_params)
-    try:
-        n = cell_params["attributes"]
-        if n > spec.max_proper_attributes:
-            raise ValueError(
-                f"refusing proper-premise computation for {n} attributes "
-                f"(guard {spec.max_proper_attributes})")
-        t0 = time.monotonic()
-        gen = gen_single if cell_params["model"] == "single" else gen_multi
-        ctx = gen(spec_from_cell(cell_params, seed))
-        t1 = time.monotonic()
-        merged, counts = premise_conclusions(ctx)
-        t2 = time.monotonic()
-        rec.gen_ms = (t1 - t0) * 1000.0
-        rec.dual_ms = (t2 - t1) * 1000.0
-        rec.mt_min = min(counts) if counts else 0
-        rec.mt_max = max(counts) if counts else 0
-        rec.mt_mean = sum(counts) / len(counts) if counts else 0.0
-        rec.pp_pairs = sum(c.bit_count() for c in merged.values())
-        rec.pp_premises = len(merged)
-        if spec.with_stem:
-            if n > spec.max_stem_attributes:
-                raise ValueError(
-                    f"refusing stem-base computation for {n} attributes "
-                    f"(guard {spec.max_stem_attributes})")
-            t3 = time.monotonic()
-            rec.stem_count = len(stem_base(ctx))
-            rec.stem_ms = (time.monotonic() - t3) * 1000.0
-        if (cell_params["model"] == "single"
-                and in_bound_domain(cell_params["objects"], cell_params["p"])):
-            params = ContextBoundParams(n, cell_params["objects"],
-                                        cell_params["p"], spec.c)
-            rec.avg_exponent = avg_pp_exponent(params)
+    n = cell_params["attributes"]
+    if n > spec.max_proper_attributes:
+        rec.error = (f"refusing proper-premise computation for {n} attributes "
+                     f"(guard {spec.max_proper_attributes})")
+        return rec
+    if spec.with_stem and n > spec.max_stem_attributes:
+        rec.error = (f"refusing stem-base computation for {n} attributes "
+                     f"(guard {spec.max_stem_attributes})")
+        return rec
+    single = cell_params["model"] == "single"
+    model_spec = spec_from_cell(cell_params, seed)
+    t0 = time.monotonic()
+    ctx = (gen_single if single else gen_multi)(model_spec)
+    t1 = time.monotonic()
+    merged, counts = premise_conclusions(ctx)
+    t2 = time.monotonic()
+    rec.gen_ms = (t1 - t0) * 1000.0
+    rec.dual_ms = (t2 - t1) * 1000.0
+    rec.mt_min = min(counts) if counts else 0
+    rec.mt_max = max(counts) if counts else 0
+    rec.mt_mean = sum(counts) / len(counts) if counts else 0.0
+    rec.pp_pairs = sum(c.bit_count() for c in merged.values())
+    rec.pp_premises = len(merged)
+    if spec.with_stem:
+        t3 = time.monotonic()
+        rec.stem_count = len(stem_base(ctx))
+        rec.stem_ms = (time.monotonic() - t3) * 1000.0
+    probs = {model_spec.p} if single else set(effective_probabilities(model_spec))
+    m = cell_params["objects"]
+    if n >= 2 and len(probs) == 1:  # the single model at one p
+        (p,) = probs
+        if in_bound_domain(m, p):
+            rec.avg_exponent = avg_pp_exponent(n, m, p, spec.c)
             rec.total_log10 = base_size_log10(rec.avg_exponent, n)
-            rec.lower_exponent = almost_sure_lower_exponent(
-                n, params.n_objects, params.p, spec.c2)
-    except ValueError as exc:  # refusals become error rows; bugs propagate
-        rec.error = str(exc)
+            rec.lower_exponent = almost_sure_lower_exponent(n, m, p, spec.c2)
     return rec
 
 
@@ -311,14 +316,17 @@ class FitResult:
 
 
 def _bound_terms(n: int, m_objects: int, p: float) -> tuple[float, float]:
-    """Fixed term A and c-coefficient B of ln(bound) = A + c*B."""
-    mq = m_objects * (1.0 - p)
+    """Fixed term A and c-coefficient B of ln(bound) = A + c*B: the two
+    terms of `avg_pp_exponent` times ln(n)."""
     if not in_bound_domain(m_objects, p):
-        raise FitError(f"cell objects*q={mq} below ln ln guard" if 0.0 < p < 1.0
-                       else f"cell p={p!r} outside (0, 1)")
+        raise FitError(f"cell objects*q={m_objects * (1.0 - p)} below ln ln guard"
+                       if 0.0 < p < 1.0 else f"cell p={p!r} outside (0, 1)")
+    try:
+        fixed, lnln = _avg_terms(n, m_objects, p)
+    except ValueError as exc:  # n < 2: a cell that no bound covers
+        raise FitError(str(exc)) from None
     ln_n = math.log(n)
-    log_base, lnln = _log_terms(mq, p)
-    return d_of_alpha(math.log(mq) / ln_n) * log_base * ln_n, lnln * ln_n
+    return fixed * ln_n, lnln * ln_n
 
 
 def fit_exponent(rows: Iterable[dict | TrialRecord]) -> FitResult:
@@ -388,8 +396,8 @@ def fit_lower_envelope(
     calibration trial."""
     implied = []
     for n, m, p, count in trials:
-        if not in_bound_domain(m, p) or count <= 0:
+        if n < 2 or not in_bound_domain(m, p) or count <= 0:
             continue
-        log_base, lnln = _log_terms(m * (1.0 - p), p)
+        log_base, lnln = _log_terms(n, m, p)
         implied.append((math.log(count) / math.log(n) - log_base) / lnln)
     return min(implied) if implied else None

@@ -16,9 +16,9 @@ import time
 import pytest
 from scipy import stats
 
-from implbases import (ContextBoundParams, Hypergraph, IndexSet,
-                       SingleParamSpec, SweepSpec, attribute_hypergraph,
-                       avg_pp_exponent, brute_force_proper_premises,
+from implbases import (Hypergraph, IndexSet, SingleParamSpec, SweepSpec,
+                       attribute_hypergraph, avg_pp_exponent,
+                       brute_force_proper_premises,
                        brute_force_pseudo_intents, brute_force_transversals,
                        close_fixpoint, close_once, fit_exponent,
                        fit_lower_envelope, gen_multi, gen_single,
@@ -246,8 +246,8 @@ def test_criterion_08_regime_ordering():
     report(8, "all-rare cell is the single model at p = 1/ln(n)", single_rare,
            f"{trials} trial seeds")
 
-    e_rare = avg_pp_exponent(ContextBoundParams(n, m, 1.0 / ln_n))
-    e_free = avg_pp_exponent(ContextBoundParams(n, m, f_prob))
+    e_rare = avg_pp_exponent(n, m, 1.0 / ln_n)
+    e_free = avg_pp_exponent(n, m, f_prob)
     rare_pair = (["polylog-rare", "all-rare"] if e_free > e_rare
                  else ["all-rare", "polylog-rare"])
     order = rare_pair + ["mostly-ubiquitous"]

@@ -2,11 +2,10 @@ import math
 
 import pytest
 
-from implbases import (BoundQuery, ContextBoundParams, MultiParamSpec,
-                       almost_sure_lower_exponent, avg_mt_exponent,
+from implbases import (MultiParamSpec, almost_sure_lower_exponent,
                        avg_pp_exponent, base_size_log10, classify_regime,
                        d_of_alpha)
-from implbases.bounds import K1, K2, K3, K4, map_context_to_hypergraph
+from implbases.bounds import K1, K2, K3, K4
 
 
 # -- d(alpha) ----------------------------------------------------------------
@@ -39,90 +38,124 @@ def test_d_continuous_at_one_and_increasing_above():
 
 
 # -- average exponent ----------------------------------------------------------
+#
+# A context's per-attribute proper premises are the minimal transversals
+# of its attribute hypergraph, which has m = objects * q edges and
+# vertex-absence probability p; `avg_pp_exponent` is the average
+# minimal-transversal ("mt") exponent of that hypergraph.
 
 
 def test_avg_mt_exponent_substitution():
-    q = BoundQuery(n=100, m=10, p=0.5, c=1.0)  # alpha = ln 10 / ln 100 = 0.5
+    # m = 20 * 0.5 = 10 and alpha = ln 10 / ln 100 = 0.5
     # log2(10) + ln ln 10, frozen from the closed form
-    assert avg_mt_exponent(q) == pytest.approx(4.155960540135318, abs=1e-12)
-    assert avg_mt_exponent(q) == pytest.approx(
+    assert avg_pp_exponent(100, 20, 0.5, 1.0) == pytest.approx(
+        4.155960540135318, abs=1e-12)
+    assert avg_pp_exponent(100, 20, 0.5, 1.0) == pytest.approx(
         math.log2(10) + math.log(math.log(10)), abs=1e-12)
 
 
 def test_avg_mt_exponent_c_zero_reduces_to_log_term():
-    q = BoundQuery(n=50, m=10, p=0.5, c=0.0)  # alpha = ln 10 / ln 50 ~ 0.59
-    assert avg_mt_exponent(q) == pytest.approx(math.log2(10), abs=1e-12)
+    # m = 10 and alpha = ln 10 / ln 50 ~ 0.59
+    assert avg_pp_exponent(50, 20, 0.5, 0.0) == pytest.approx(
+        math.log2(10), abs=1e-12)
 
 
 def test_avg_mt_exponent_monotone_in_m():
     prev = None
-    for m in (5, 10, 20, 40, 80):
-        e = avg_mt_exponent(BoundQuery(n=100, m=m, p=0.5, c=1.0))
+    for objects in (10, 20, 40, 80, 160):
+        e = avg_pp_exponent(100, objects, 0.5, 1.0)
         if prev is not None:
             assert e > prev
         prev = e
 
 
 def test_avg_mt_exponent_monotone_in_vertex_absence():
-    # the exponent grows as the log base 1/q shrinks, i.e. with q (the
-    # vertex-absence probability); equivalently it falls as p rises
-    exps = [avg_mt_exponent(BoundQuery(n=100, m=10, p=p, c=1.0))
-            for p in (0.8, 0.6, 0.4, 0.2)]
+    # the exponent grows as the log base 1/p shrinks, i.e. with p (the
+    # vertex-absence probability), even though m = objects * q falls
+    exps = [avg_pp_exponent(100, 100, p, 1.0) for p in (0.2, 0.4, 0.6, 0.8)]
     assert all(exps[i] < exps[i + 1] for i in range(len(exps) - 1))
 
 
 def test_avg_mt_exponent_guards():
     with pytest.raises(ValueError):
-        avg_mt_exponent(BoundQuery(n=10, m=2, p=0.5))
+        avg_pp_exponent(10, 4, 0.5)  # m = 2 < 3
     with pytest.raises(ValueError):
-        BoundQuery(n=10, m=0.5, p=0.5)
+        avg_pp_exponent(1, 10, 0.5)
     with pytest.raises(ValueError):
-        BoundQuery(n=1, m=5, p=0.5)
-    with pytest.raises(ValueError):
-        BoundQuery(n=10, m=5, p=0.0)
+        avg_pp_exponent(10, 10, 0.0)
+
+
+@pytest.mark.parametrize("bound", [avg_pp_exponent, almost_sure_lower_exponent])
+@pytest.mark.parametrize("n, m, p, message", [
+    (10, 10, 0.0, "p must be in (0, 1), got 0.0"),
+    (10, 10, 1.0, "p must be in (0, 1), got 1.0"),
+    (1, 2, 0.0, "p must be in (0, 1), got 0.0"),  # p first
+    (1, 10, 0.5, "n_attributes must be >= 2, got 1"),
+    (1, 4, 0.5, "n_attributes must be >= 2, got 1"),  # then n
+    (10, 4, 0.5, "objects * q must be >= 3.0 (ln ln guard), got 2.0"),
+    (50, 50, 0.99, "objects * q must be >= 3.0 (ln ln guard), got 0.5000000000000004"),
+])
+def test_context_bounds_refuse_in_one_order(bound, n, m, p, message):
+    with pytest.raises(ValueError) as info:
+        bound(n, m, p)
+    assert str(info.value) == message
 
 
 def test_alpha_derived_from_m():
-    # alpha = ln 100 / ln 10 = 2, so the log term carries d(2) = 9/8
-    q = BoundQuery(n=10, m=100, p=0.5, c=0.0)
-    assert avg_mt_exponent(q) == pytest.approx(9 / 8 * math.log2(100), abs=1e-12)
-
-
-# -- context mapping --------------------------------------------------------------
+    # m = 200 * 0.5 = 100, alpha = ln 100 / ln 10 = 2, so the log term
+    # carries d(2) = 9/8
+    assert avg_pp_exponent(10, 200, 0.5, 0.0) == pytest.approx(
+        9 / 8 * math.log2(100), abs=1e-12)
 
 
 def test_avg_pp_exponent_substitution():
-    params = ContextBoundParams(50, 50, 0.5, 1.0)
-    assert avg_pp_exponent(params) == pytest.approx(5.81288836566178, abs=1e-12)
-    assert avg_pp_exponent(params) == pytest.approx(
+    assert avg_pp_exponent(50, 50, 0.5, 1.0) == pytest.approx(
+        5.81288836566178, abs=1e-12)
+    assert avg_pp_exponent(50, 50, 0.5, 1.0) == pytest.approx(
         math.log2(25) + math.log(math.log(25)), abs=1e-12)
 
 
 def test_avg_pp_exponent_matches_mapped_query():
-    params = ContextBoundParams(40, 60, 0.3, 1.5)
-    assert avg_pp_exponent(params) == avg_mt_exponent(
-        map_context_to_hypergraph(params))
-    mapped = map_context_to_hypergraph(params)
-    assert mapped.m == pytest.approx(60 * 0.7)
-    assert mapped.p == pytest.approx(0.7)  # log base becomes 1/p_ctx
+    """The hypergraph bound d(alpha) * log_{1/q_h}(m) + c * ln ln m at
+    m = objects * q and q_h = p, exactly; alpha = ln m / ln 40 is above 1
+    at p = 0.1 and 0.3 and below at 0.7. At p = 0.3, 1 - (1 - p) != p in
+    floats, and taking the log base from it moves the last bit."""
+    n, objects, c = 40, 60, 0.8
+    for p in (0.1, 0.3, 0.7):
+        m, q_h = objects * (1 - p), p
+        assert avg_pp_exponent(n, objects, p, c) == (
+            d_of_alpha(math.log(m) / math.log(n)) * (math.log(m) / math.log(1 / q_h))
+            + c * math.log(math.log(m)))
+
+
+def test_avg_pp_exponent_frozen_at_p_03():
+    """The log base is 1/p itself; 1/(1 - (1 - p)) gives
+    3.971308335026012 here."""
+    assert avg_pp_exponent(40, 40, 0.3, 1.0) == 3.9713083350260114
+
+
+def test_avg_pp_exponent_takes_a_p_below_float_resolution_of_q():
+    # 1 - 1e-20 rounds to 1.0; the bound still reads p itself
+    assert avg_pp_exponent(100, 50, 1e-20, 1.0) == pytest.approx(
+        math.log(50) / math.log(1e20) + math.log(math.log(50)), abs=1e-12)
 
 
 def test_avg_pp_exponent_degenerate_dense_rejected():
     with pytest.raises(ValueError):
-        avg_pp_exponent(ContextBoundParams(50, 50, 0.99, 1.0))
+        avg_pp_exponent(50, 50, 0.99, 1.0)
 
 
 def test_variable_mapping_p_vs_q_roles():
     # with c=0 and alpha <= 1 the exponent is exactly log_{1/p}(objects * q);
     # swapping p and q swaps both the edge count and the log base
-    a = avg_pp_exponent(ContextBoundParams(50, 40, 0.2, 0.0))
+    a = avg_pp_exponent(50, 40, 0.2, 0.0)
     assert a == pytest.approx(math.log(40 * 0.8) / math.log(1 / 0.2), abs=1e-12)
-    b = avg_pp_exponent(ContextBoundParams(50, 40, 0.8, 0.0))
+    b = avg_pp_exponent(50, 40, 0.8, 0.0)
     assert b == pytest.approx(math.log(40 * 0.2) / math.log(1 / 0.8), abs=1e-9)
 
 
 def test_total_base_bound_log10_substitution():
-    exponent = avg_pp_exponent(ContextBoundParams(5, 5, 0.4, 1.0))
+    exponent = avg_pp_exponent(5, 5, 0.4, 1.0)
     assert base_size_log10(exponent, 5) == pytest.approx(
         1.6027561655307827, abs=1e-12)
     assert base_size_log10(exponent, 5) == pytest.approx(
@@ -131,9 +164,8 @@ def test_total_base_bound_log10_substitution():
 
 
 def test_total_base_bound_monotone_in_objects():
-    values = [base_size_log10(
-        avg_pp_exponent(ContextBoundParams(30, m, 0.5, 1.0)), 30)
-        for m in (10, 20, 40, 80)]
+    values = [base_size_log10(avg_pp_exponent(30, m, 0.5, 1.0), 30)
+              for m in (10, 20, 40, 80)]
     assert all(values[i] < values[i + 1] for i in range(len(values) - 1))
 
 
@@ -157,7 +189,7 @@ def test_lower_below_average_when_constants_align():
     # with c2 <= c and alpha <= 1 the lower exponent cannot exceed the average
     for p in (0.3, 0.5, 0.7):
         for m in (20, 50):
-            avg = avg_pp_exponent(ContextBoundParams(64, m, p, 1.0))
+            avg = avg_pp_exponent(64, m, p, 1.0)
             low = almost_sure_lower_exponent(64, m, p, c2=0.5)
             assert low <= avg
 

@@ -4,6 +4,8 @@ import sys
 
 import pytest
 
+from implbases import parse_csv
+
 
 def run_cli(*args, expect_code=0):
     proc = subprocess.run([sys.executable, "-m", "implbases", *args],
@@ -383,3 +385,29 @@ def test_sweep_refuses_unwritable_out_before_any_trial(tmp_path):
     assert proc.stdout == b""
     assert proc.stderr.decode() == (
         f"error: {out}: No such file or directory\n")
+
+
+@pytest.mark.parametrize("objects", ["10", "4"])
+def test_sweep_one_attribute_is_a_clean_row(objects):
+    """n = 1 has counts but no bound, in the bound's domain (10 * q = 5)
+    or not (4 * q = 2): a clean row with blank bound columns, exit 0."""
+    proc = run_cli("sweep", "--objects", objects, "--attributes", "1",
+                   "--p", "0.5", "--seed", "1")
+    assert proc.stderr == b""
+    trial, footer = parse_csv(proc.stdout.decode())
+    assert (trial["row"], footer["row"]) == ("trial", "cell_mean")
+    assert trial["error"] == "" and trial["mt_mean"] != ""
+    assert trial["avg_exponent"] == trial["lower_exponent"] == ""
+
+
+def test_p_below_float_resolution_of_q_is_not_refused():
+    """1 - 1e-20 rounds to 1.0; the bounds read p itself."""
+    proc = run_cli("bounds", "--attributes", "10", "--objects", "50",
+                   "--p", "1e-20")
+    assert proc.stderr == b"" and b"error" not in proc.stdout
+    proc = run_cli("sweep", "--objects", "50", "--attributes", "5",
+                   "--p", "1e-20")
+    assert proc.stderr == b""
+    rows = parse_csv(proc.stdout.decode())
+    assert [r["error"] for r in rows] == ["", ""]
+    assert all(r["avg_exponent"] != "" for r in rows)

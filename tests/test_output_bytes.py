@@ -6,8 +6,12 @@ record mapping and the sweep loop were consolidated, the stem-base pins
 on 20 x 20 contexts before the Next-Closure loop of ``stem_base`` was
 folded into one, and the two ``gen`` pins before every generator spec
 came to be built by ``randctx.spec_from_cell``, so any change to the
-bytes those paths write shows up here. The stem base's JSON listing keeps the lectic order in which
-its implications are found, so it pins the enumeration order too. To
+bytes those paths write shows up here. The bound and sweep pins that
+carry bound columns or refused rows were re-recorded when the bounds
+came to read p itself (not ``1 - (1 - p)``) and a sweep trial came to be
+refused only by its size guards, before any work. The stem base's JSON
+listing keeps the lectic order in which its implications are found, so
+it pins the enumeration order too. To
 re-record after a deliberate output change, print
 ``_digest(run_cli(RUNS[name], tmp))`` for each name in ``RUNS``.
 """
@@ -60,7 +64,7 @@ RUNS = {
                           "--trials", "2", "--seed", "3", "--base", "both",
                           "--max-proper-attrs", "10", "--max-stem-attrs", "6")],
     "fit_three_cells": [FIT_CELLS, ("fit", "{tmp}/three_cells.csv")],
-    # bound columns and fit terms at p where 1 - (1 - p) != p in floats
+    # the bounds at p = 0.3, where 1 - (1 - p) != p in floats
     "bounds_regime_text": [BOUNDS_REGIME],
     "bounds_regime_json": [BOUNDS_REGIME + ("--format", "json")],
     "bounds_degenerate_dense": [("bounds", "--attributes", "40", "--objects",
@@ -89,17 +93,17 @@ EXPECTED = {
     "compute_json": (0, "cae0388faf0feda410ef6582eddab9c0c61e96c7d9d0e3b0fbd8e52e453c930e"),
     "compute_text": (0, "cc24156ae0ea329cee2c7ae37f434d731b4d73e3e21014ea5f4fef411da53dd7"),
     "fit_three_cells": (0, "930b9444fb953042bd43d3d8257d92eca4f4e685835f727a7172e2499ae44c5d"),
-    "sweep_guard_rows": (1, "f5d6eef27538edf7ec50be91692e853b94540c77d3923fe063e2cf7472b7bbf1"),
-    "sweep_multi_csv": (0, "b8d5dd7383db571c3804c38e876bcdb3d05537b0b733580937808f51ac584894"),
-    "sweep_multi_json": (0, "a12745aa494367463fb7e12e5276c834883be96aa202a324dd4ad65af964ca9e"),
-    "sweep_single_csv": (0, "d2fd7cd0ec81851e4a0e3d927484ac6e4be7b55ec535b3aefb95e172acd54cc4"),
-    "sweep_single_json": (0, "ec688d8d264ebdaa0d18e0556270667929d4779f38f66a61b701bf68d5550dcf"),
+    "sweep_guard_rows": (1, "62d88b3c2bfbe5b3b4c68a404649186703da088e26385c75efe9b0dff55ce290"),
+    "sweep_multi_csv": (0, "53aca8f68f4e50fb92b40f8fdd8554aea5803c70c5eba3c2d291aaea19bfb601"),
+    "sweep_multi_json": (0, "e8bc5da23b9dc8afc49c1a2aa1fef4771ddcf35bf2acd2ebff84271c170498b4"),
+    "sweep_single_csv": (0, "7fbb693da44ef9eb10b39dbaea78025b1b9e33ad315a51769f55602dbafa7464"),
+    "sweep_single_json": (0, "bb9557a21f3904c7751ff049ef8dcdf8df303c29b3cf70cab27e27787b43a278"),
     "bounds_degenerate_dense": (0, "86fe21999774c0d6fadf9fc9502615c2e566f0dc923994bc4dfa5ae63f3239db"),
-    "bounds_regime_json": (0, "4074722bce7d8bfee0f1497b10801d58212ba917b92d981d95b4d7b4ec1b795d"),
-    "bounds_regime_text": (0, "d9e36a3d03d8ceb4cbe2bc65607b2add63e5bcbad853f4fa46cda200ddd31d80"),
+    "bounds_regime_json": (0, "f45d5ff0be7b79ed3bdb995d2b2fdd86c299bb1050013e29ddb6163b743ea88f"),
+    "bounds_regime_text": (0, "0c59824b02c540c31ae8c60c9d5894663dd8b87b0d614d9659e8c2e18494aaae"),
     "fit_three_cells_p03": (0, "ab3c5f9d2394de5c85493e0cf2a10023b97b64f2cdf2231ed184becae09c8519"),
     "fit_three_cells_p03_json": (0, "bc1f74003707b4d05e007eda647acadee3117198b3d2239c8a4c129bc0a8464d"),
-    "sweep_one_attribute": (1, "fa34ca9a24e5d251ea38e343391662a6b7b170d42a113303bb00910bc8d2887a"),
+    "sweep_one_attribute": (0, "f966ee1208f2711c04b3ea19c60aed3ac2ce119cdf2b78b7851f54f5c844260d"),
     "sweep_p01_csv": (0, "964738e66564fc8e106f27ba579911005f4977a05014b6d65cb0f8f6341a2e9f"),
     "compute_stem_g20_seed7": (0, "5e064c330f0a016ac7d8078414e050a5929f8bee2c480ef4003b6540b8d1cee7"),
     "compute_stem_g20_seed7_json": (0, "d338eb74a9b5ba5353d4dc9c5e8c64b13d959b8857a4a6bfe5e24ad445c654a7"),

@@ -21,7 +21,7 @@ SCRIPT_PINS = {
         "e6d62a4df866a5dc9764a9e1a034b987f140cd7a6688c108a76c177dde0223ca"),
     "run_regime_cells.py": (
         ("--trials", "3"),
-        "a7bcacb8fbe169b8f08b06690e54c9e0192e5bb4291142309dd42d4f5ec13653"),
+        "39b064d53a8fe0d85939fcd93ed8fff61c5ccd25c3b584d6f4ddad6dba819a70"),
 }
 
 

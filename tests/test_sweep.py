@@ -2,8 +2,10 @@ import math
 
 import pytest
 
-from implbases import (FitError, SweepSpec, derive_trial_seed, fit_exponent,
-                       fit_lower_envelope, parse_csv, render_csv, run_sweep)
+from implbases import (FitError, SweepSpec, almost_sure_lower_exponent,
+                       avg_pp_exponent, base_size_log10, derive_trial_seed,
+                       fit_exponent, fit_lower_envelope, parse_csv, render_csv,
+                       run_sweep)
 from implbases.sweep import CSV_COLUMNS
 
 
@@ -116,8 +118,21 @@ def test_multi_model_sweep():
     records = run_sweep(spec)
     assert len(records) == 8
     assert all(r.error is None for r in records)
-    # bound columns only apply to the single model
-    assert all(r.avg_exponent is None for r in records)
+    # bound columns apply where the context is the single model at one p:
+    # here only u = r = 0 (ubiquitous p = 0.75, rare p = 1/ln 6 differ from 0.5)
+    assert [r.avg_exponent is not None for r in records] == [True] * 2 + [False] * 6
+
+
+def test_multi_cells_that_are_the_single_model_carry_its_bounds():
+    n, m, f_prob, c, c2 = 8, 20, 0.5, 1.3, -0.2
+    spec = SweepSpec(model="multi", objects=(m,), attributes=(n,),
+                     u_sizes=(0,), r_sizes=(0, n), f_prob=f_prob, c=c, c2=c2,
+                     trials=1, base_seed=4)
+    free, rare = run_sweep(spec)
+    for rec, p in ((free, f_prob), (rare, 1 / math.log(n))):
+        assert rec.avg_exponent == avg_pp_exponent(n, m, p, c)
+        assert rec.lower_exponent == almost_sure_lower_exponent(n, m, p, c2)
+        assert rec.total_log10 == base_size_log10(rec.avg_exponent, n)
 
 
 def test_theoretical_exponent_columns():
@@ -208,6 +223,7 @@ def test_lower_envelope_sits_below_all_calibration_trials():
 
 def test_lower_envelope_empty_when_no_usable_trials():
     assert fit_lower_envelope([(10, 4, 0.5, 3.0)]) is None
+    assert fit_lower_envelope([(1, 10, 0.5, 3.0)]) is None  # no bound at n = 1
 
 
 def test_run_trial_lets_bugs_propagate(monkeypatch):
@@ -222,6 +238,36 @@ def test_run_trial_lets_bugs_propagate(monkeypatch):
     spec = small_spec(with_stem=True)
     with pytest.raises(RuntimeError, match="stem base bug"):
         sweep_mod.run_trial(spec, 0, spec.cells()[0], 0)
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(attributes=(8,), max_proper_attributes=6),
+    dict(attributes=(8,), with_stem=True, max_stem_attributes=6),
+])
+def test_size_guards_refuse_before_any_work(overrides, monkeypatch):
+    """A refused trial generates and dualizes nothing, and its row
+    carries the refusal with every metric blank."""
+    import implbases.sweep as sweep_mod
+
+    def no_work(*args):
+        raise AssertionError("a refused trial did work")
+
+    for name in ("gen_single", "premise_conclusions", "stem_base"):
+        monkeypatch.setattr(sweep_mod, name, no_work)
+    spec = small_spec(objects=(10,), **overrides)
+    rec = sweep_mod.run_trial(spec, 0, spec.cells()[0], 0)
+    assert rec.error.startswith("refusing ") and "guard 6" in rec.error
+    fields = sweep_mod.record_fields(rec, timings=True)
+    assert all(fields[name] is None for name in
+               sweep_mod.RESULT_FIELDS + sweep_mod.TIMING_FIELDS)
+
+
+def test_fit_refuses_a_one_attribute_cell():
+    rows = [{"row": "trial", "error": "", "model": "single",
+             "attributes": str(n), "objects": "10", "p": "0.5",
+             "mt_mean": "1.0"} for n in (1, 6, 7)]
+    with pytest.raises(FitError, match=r"^n_attributes must be >= 2, got 1$"):
+        fit_exponent(rows)
 
 
 def test_trial_counts_match_proper_premise_base():
@@ -240,14 +286,10 @@ def test_fit_recovers_the_bound_columns_constants():
     """Counts placed exactly on `avg_pp_exponent` (the sweep's
     avg_exponent column) give back its c and no leading constant, and a
     trial exactly on `almost_sure_lower_exponent` gives back its c2."""
-    from implbases import (ContextBoundParams, almost_sure_lower_exponent,
-                           avg_pp_exponent)
-
     for p in (0.3, 0.7):
         rows = [{"row": "trial", "error": "", "model": "single",
                  "attributes": str(n), "objects": str(m), "p": repr(p),
-                 "mt_mean": repr(n ** avg_pp_exponent(
-                     ContextBoundParams(n, m, p, 0.8)))}
+                 "mt_mean": repr(n ** avg_pp_exponent(n, m, p, 0.8))}
                 for n in (10, 20, 40) for m in (20, 60)]
         result = fit_exponent(rows)
         assert result.c == pytest.approx(0.8, abs=1e-9)
