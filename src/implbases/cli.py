@@ -109,7 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--c", type=float, default=1.0)
     p_sweep.add_argument("--c2", type=float, default=0.0)
     p_sweep.add_argument("--workers", type=int, default=1,
-                         help="accepted and ignored: trials run serially")
+                         help="run the trials in N forked processes; results "
+                              "stay in (cell, trial) order, so the output "
+                              "bytes do not depend on N")
     p_sweep.add_argument("--timings", action="store_true",
                          help="include wall-clock columns (breaks byte determinism)")
     p_sweep.add_argument("--max-proper-attrs", type=int,
@@ -291,6 +293,8 @@ def cmd_sweep(args) -> int:
             max_proper_attributes=args.max_proper_attrs,
             max_stem_attributes=args.max_stem_attrs,
         )
+        if args.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {args.workers}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

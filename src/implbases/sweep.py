@@ -1,17 +1,18 @@
 """Seeded parameter sweeps and scaling-law fits.
 
-A sweep enumerates a parameter grid, runs seeded trials per cell one
-after another in this process, and emits one CSV row per trial plus
-per-cell mean footer rows. Trial seeds derive from the cell's parameters
-(not its position), so editing the grid never changes the data of cells
-that stay in it. Output is byte-deterministic for a given spec; wall
-times are measured but only written when explicitly requested, since
-they are the one nondeterministic field. A grid that the random model
-refuses in any cell is refused whole, before any trial runs. A trial
-refused by a size guard becomes an error row with blank metrics, decided
-before any work; the bound columns stay blank where the bound is not
-defined. Nothing else makes an error row: an exception inside a trial
-is a bug and propagates.
+A sweep enumerates a parameter grid, runs seeded trials per cell, and
+emits one CSV row per trial plus per-cell mean footer rows. With N > 1
+workers the trials run in N forked processes; the records still come
+back in (cell, trial) order, so the output bytes do not depend on N.
+Trial seeds derive from the cell's parameters (not its position), so
+editing the grid never changes the data of cells that stay in it.
+Output is byte-deterministic for a given spec; wall times are measured
+but only written when explicitly requested, since they are the one
+nondeterministic field. A grid that the random model refuses in any cell
+is refused whole, before any trial runs. A trial refused by a size guard
+becomes an error row with blank metrics, decided before any work; the
+bound columns stay blank where the bound is not defined. Nothing else
+makes an error row: an exception inside a trial is a bug and propagates.
 
 ``fit_exponent`` fits the free constants of the theoretical bound to
 sweep output: the average-bound constant c (with a multiplicative
@@ -194,16 +195,45 @@ def run_trial(spec: SweepSpec, cell_index: int, cell_params: dict,
     return rec
 
 
+def _run_job(spec: SweepSpec, job: tuple[int, dict, int]) -> TrialRecord:
+    """One pooled trial. The pool pickles this function by name and the
+    child looks ``run_trial`` up itself, so a wrapped ``run_trial`` need
+    not be picklable."""
+    return run_trial(spec, *job)
+
+
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[TrialRecord]:
     """All trial records, ordered by (cell index, trial index).
 
-    Trials run one after another in this process. `workers` is accepted
-    and ignored: a thread pool ran slower than one thread, because the
-    trials are pure Python and hold the interpreter lock.
+    With ``workers`` > 1 and more than one trial, the trials run in
+    ``workers`` forked processes (no more than there are trials), and the
+    records come back in (cell, trial) order, so they do not depend on
+    ``workers``. An
+    exception inside a trial is re-raised here with its type, and every
+    child has exited before this returns or raises. With one worker, one
+    trial, or no fork start method, the trials run one after another in
+    this process.
     """
-    return [run_trial(spec, ci, params, t)
-            for ci, params in enumerate(spec.cells())
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    jobs = [(ci, params, t) for ci, params in enumerate(spec.cells())
             for t in range(spec.trials)]
+    if workers > 1 and len(jobs) > 1:
+        # imported here so that importing the CLI does not pay for them
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        if "fork" in multiprocessing.get_all_start_methods():
+            # fork by name: forkserver and spawn (the default on some
+            # platforms and Python versions) cost 20-30x more per pool.
+            # The pool forks its children before it starts its own
+            # threads, and the BLAS threads numpy starts stop themselves
+            # at fork: unless the caller runs threads of its own, no
+            # other thread runs while it forks.
+            with ProcessPoolExecutor(
+                    min(workers, len(jobs)),
+                    mp_context=multiprocessing.get_context("fork")) as pool:
+                return list(pool.map(_run_job, [spec] * len(jobs), jobs))
+    return [run_trial(spec, *job) for job in jobs]
 
 
 # -- CSV rendering -------------------------------------------------------------

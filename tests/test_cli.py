@@ -411,3 +411,29 @@ def test_p_below_float_resolution_of_q_is_not_refused():
     rows = parse_csv(proc.stdout.decode())
     assert [r["error"] for r in rows] == ["", ""]
     assert all(r["avg_exponent"] != "" for r in rows)
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_sweep_workers_below_one_refused_before_out_and_trials(workers, tmp_path):
+    # one trial at n = m = 60 runs for hours; the refusal must come first
+    out = tmp_path / "sweep.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "implbases", "sweep", "--objects", "60",
+         "--attributes", "60", "--p", "0.5", "--workers", workers,
+         "--out", str(out)],
+        capture_output=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == f"error: workers must be >= 1, got {workers}\n"
+    assert not out.exists()
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """The pool's modules are imported only when a sweep uses one, so
+    they never add to the CLI's start-up time."""
+    code = ("import sys, implbases.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
+            "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout == "[]\n"

@@ -1,4 +1,8 @@
+import dataclasses
 import math
+import multiprocessing
+import os
+import warnings
 
 import pytest
 
@@ -6,7 +10,8 @@ from implbases import (FitError, SweepSpec, almost_sure_lower_exponent,
                        avg_pp_exponent, base_size_log10, derive_trial_seed,
                        fit_exponent, fit_lower_envelope, parse_csv, render_csv,
                        run_sweep)
-from implbases.sweep import CSV_COLUMNS
+import implbases.sweep as sweep_mod
+from implbases.sweep import CSV_COLUMNS, TIMING_FIELDS, TrialRecord
 
 
 def small_spec(**overrides):
@@ -229,7 +234,6 @@ def test_lower_envelope_empty_when_no_usable_trials():
 def test_run_trial_lets_bugs_propagate(monkeypatch):
     """Only refusals (ValueError) become error rows; anything else is a
     bug and must surface."""
-    import implbases.sweep as sweep_mod
 
     def broken(ctx):
         raise RuntimeError("stem base bug")
@@ -247,7 +251,6 @@ def test_run_trial_lets_bugs_propagate(monkeypatch):
 def test_size_guards_refuse_before_any_work(overrides, monkeypatch):
     """A refused trial generates and dualizes nothing, and its row
     carries the refusal with every metric blank."""
-    import implbases.sweep as sweep_mod
 
     def no_work(*args):
         raise AssertionError("a refused trial did work")
@@ -348,3 +351,62 @@ def test_spec_from_cell_matches_hand_built_specs():
             for u in (0, 2) for r in (0, 3) for s in (0, 5)]
     assert [spec_from_cell(cell, s) for cell in multi.cells()
             for s in (0, 5)] == hand
+
+
+# 2 x 2 cells x 2 trials: 8 jobs for a pool of 2
+POOL_GRID = dict(objects=(5, 8), attributes=(5, 6), trials=2, with_stem=True)
+
+
+def test_pooled_records_equal_serial_records():
+    spec = small_spec(**POOL_GRID)
+    serial = run_sweep(spec, workers=1)
+    pooled = run_sweep(spec, workers=2)
+    assert multiprocessing.active_children() == []
+    assert len(pooled) == len(serial) == 8
+    for a, b in zip(serial, pooled):
+        for f in dataclasses.fields(TrialRecord):
+            if f.name in TIMING_FIELDS:
+                assert getattr(b, f.name) is not None  # measured in the child
+            else:
+                assert getattr(a, f.name) == getattr(b, f.name), f.name
+
+
+def test_pooled_trials_run_in_child_processes(monkeypatch, tmp_path):
+    log = tmp_path / "pids"
+    real = sweep_mod.gen_single
+
+    def logged(model_spec):
+        with open(log, "a", encoding="ascii") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return real(model_spec)
+
+    monkeypatch.setattr(sweep_mod, "gen_single", logged)
+    run_sweep(small_spec(**POOL_GRID), workers=2)
+    pids = log.read_text(encoding="ascii").split()
+    assert len(pids) == 8
+    assert str(os.getpid()) not in pids and 1 <= len(set(pids)) <= 2
+
+
+def test_pooled_trial_exception_propagates_with_its_type(monkeypatch):
+    def broken(model_spec):
+        raise RuntimeError("generator bug")
+
+    monkeypatch.setattr(sweep_mod, "gen_single", broken)
+    with pytest.raises(RuntimeError, match="^generator bug$"):
+        run_sweep(small_spec(**POOL_GRID), workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_pooled_sweep_warns_nothing():
+    """Python 3.12+ warns when a process that runs threads forks; the
+    pool forks its children before it starts its own threads."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_sweep(small_spec(**POOL_GRID), workers=2)
+    assert [str(w.message) for w in caught] == []
+
+
+def test_run_sweep_refuses_fewer_than_one_worker():
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match=f"^workers must be >= 1, got {workers}$"):
+            run_sweep(small_spec(), workers=workers)
