@@ -4,11 +4,16 @@ Two bases are built here. The base of proper premises (canonical direct
 base) comes from per-attribute hypergraph dualization: the proper
 premises of attribute `a` are the minimal transversals of the hypergraph
 whose edges are the complements of the rows missing `a`, with the
-trivial transversal {a} removed. The Duquenne-Guigues (stem) base is
-enumerated in lectic order by one Next-Closure loop over the sets closed
-under strict application of the implications found so far; a candidate's
-closure stops at the first attribute that fails the lectic test. Its
-premises are exactly the pseudo-intents.
+trivial transversal {a} removed. One generator,
+``premises_by_attribute``, dualizes every attribute, yielding one
+attribute's premise list (and its transversal count) at a time; the
+base merges the lists into a premise -> conclusion map, and
+``premise_counts``, the sweep's count-only consumer, keeps just the
+summed lengths and a set of the distinct premises. The Duquenne-Guigues
+(stem) base is enumerated in lectic order by one Next-Closure loop over
+the sets closed under strict application of the implications found so
+far; a candidate's closure stops at the first attribute that fails the
+lectic test. Its premises are exactly the pseudo-intents.
 
 Both constructions have brute-force oracles used by the test suite.
 """
@@ -16,7 +21,7 @@ Both constructions have brute-force oracles used by the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .context import FormalContext
 from .hypergraph import Hypergraph, _scan_subsets, _transversal_masks
@@ -152,33 +157,54 @@ def brute_force_proper_premises(ctx: FormalContext, a: int) -> list[AttributeSet
     return sorted_sets(n, (m for m in kept if m != 1 << a))
 
 
-def premise_conclusions(ctx: FormalContext) -> tuple[dict[int, int], list[int]]:
-    """Proper premises of every attribute merged at mask level.
+def premises_by_attribute(ctx: FormalContext) -> Iterator[tuple[list[int], int]]:
+    """Each attribute's proper-premise masks, in no fixed order, with its
+    minimal-transversal count (the trivial {a} included), yielded one
+    attribute at a time in attribute order.
 
-    Returns the map premise mask -> conclusion mask (the attributes the
-    premise is proper for) and each attribute's minimal-transversal
-    count, the trivial {a} included.
+    This is the one loop that dualizes every attribute of a context.
+    It keeps only the list of the attribute at hand, so its consumers
+    hold no more than what they build from the lists. When column `a`
+    is full the hypergraph is edgeless and its one transversal {} is
+    the premise; otherwise {a} is a minimal transversal and is removed.
     """
     n = ctx.n_attributes
     rows = ctx.row_masks
-    merged: dict[int, int] = {}
-    counts = []
     for a in range(n):
-        abit = 1 << a
         masks = dualize_attribute(rows, n, a)
-        counts.append(len(masks))
-        for p in masks:
-            if p != abit:
-                merged[p] = merged.get(p, 0) | abit
-    return merged, counts
+        count = len(masks)
+        if masks != [0]:
+            masks.remove(1 << a)
+        yield masks, count
+
+
+def premise_counts(ctx: FormalContext) -> tuple[list[int], int, int]:
+    """Each attribute's minimal-transversal count, the number of
+    premise -> attribute pairs and the number of distinct premises of
+    the proper-premise base, without building the base: the pairs are
+    the summed list lengths and the distinct premises fill one set, one
+    C-level ``set.update`` per attribute.
+    """
+    counts = []
+    pairs = 0
+    premises: set[int] = set()
+    for masks, count in premises_by_attribute(ctx):
+        counts.append(count)
+        pairs += len(masks)
+        premises.update(masks)
+    return counts, pairs, len(premises)
 
 
 def proper_premise_base(ctx: FormalContext) -> ImplicationBase:
-    """Union over attributes of their proper premises, merged so that
-    implications sharing a premise aggregate conclusions.
+    """Union over attributes of their proper premises, merged at mask
+    level so that implications sharing a premise aggregate conclusions.
     """
     n = ctx.n_attributes
-    merged, _ = premise_conclusions(ctx)
+    merged: dict[int, int] = {}  # premise mask -> conclusion mask
+    for a, (masks, _) in enumerate(premises_by_attribute(ctx)):
+        abit = 1 << a
+        for p in masks:
+            merged[p] = merged.get(p, 0) | abit
     implications = [
         Implication(IndexSet.from_mask(n, pmask),
                     IndexSet.from_mask(n, cmask))

@@ -21,8 +21,9 @@ Every bound is one float exponent E of the attribute count; the raw
 counts overflow floats at experiment scales. ``base_size_log10`` turns
 either per-attribute exponent into the log10 of the whole base,
 ``|A| ** (E + 1)``. This module is the one home of the bounds' terms and
-refusals (``_log_terms``) and of their context domain
-(``in_bound_domain``); the sweep, the fit, the CLI and the scripts take
+refusals (``_log_terms``), of their context domain
+(``in_bound_domain``) and of the check on their constants
+(``check_constant``); the sweep, the fit, the CLI and the scripts take
 them from here.
 """
 
@@ -50,6 +51,14 @@ def in_bound_domain(n_objects: int, p: float) -> bool:
     (0, 1) and objects * q >= 3, so that ln ln(objects * q) is defined
     and positive. Outside it the context is degenerate-dense."""
     return 0.0 < p < 1.0 and n_objects * (1.0 - p) >= MIN_EDGE_COUNT
+
+
+def check_constant(name: str, value: float) -> None:
+    """Refuse a bound constant (c or c2) that is NaN or infinite: the
+    exponents it enters would be NaN or infinite too. The sweep spec and
+    the ``bounds`` command check theirs here, before any work."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _log_terms(n_attributes: int, n_objects: int,

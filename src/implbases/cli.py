@@ -16,7 +16,8 @@ from pathlib import Path
 
 from .bases import format_implications, proper_premise_base, stem_base
 from .bounds import (almost_sure_lower_exponent, avg_pp_exponent,
-                     base_size_log10, classify_regime, in_bound_domain)
+                     base_size_log10, check_constant, classify_regime,
+                     in_bound_domain)
 from .ctxio import read_context_file, write_burmeister
 from .randctx import gen_multi, gen_single, spec_from_cell, spec_to_keyvalues
 from .sweep import (DEFAULT_MAX_PROPER_ATTRIBUTES, DEFAULT_MAX_STEM_ATTRIBUTES,
@@ -244,6 +245,8 @@ def cmd_bounds(args) -> int:
 
 
 def _bound_rows(args) -> list[tuple[str, str]]:
+    check_constant("c", args.c)
+    check_constant("c2", args.c2)
     if in_bound_domain(args.objects, args.p):
         lower = almost_sure_lower_exponent(args.attributes, args.objects,
                                            args.p, args.c2)

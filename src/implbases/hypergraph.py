@@ -4,9 +4,11 @@ The enumerator is MMCS (Murakami & Uno, 2014): a depth-first search
 that adds one vertex of an uncovered edge at a time, keeps the chosen
 set minimal through per-member crit sets by never offering a vertex
 that would empty one, and holds no intermediate family of
-transversals. Inner loops work on raw bitmasks and return families in
-no fixed order; the public functions sort at the boundary
-(``sets.sorted_sets``).
+transversals. A set with one uncovered edge left is finished in place:
+each unblocked candidate in that edge completes one minimal
+transversal, so the search pushes no node for it. Inner loops work on
+raw bitmasks and return families in no fixed order; the public
+functions sort at the boundary (``sets.sorted_sets``).
 
 Degenerate inputs are distinguished deliberately: a hypergraph with no
 edges has the single (vacuous) minimal transversal ``{}``, while a
@@ -148,9 +150,14 @@ def _transversal_masks(n: int, edge_masks: Sequence[int]) -> list[int]:
     transversal is reached once. Every child is minimal by
     construction: one that covers the last uncovered edge is emitted at
     once, and a node with an uncovered edge that has no candidate left
-    is a dead end and makes no child. Edges are indices into the
-    minimized family, so ``occ[v]``, the crit sets and the uncovered
-    edges are all bitsets over edge indices. The search uses an
+    is a dead end and makes no child. A child that leaves exactly one
+    edge uncovered is not pushed either: its candidates in that edge,
+    less the vertices blocked by the new member and by each member
+    whose crit set lost an edge, each complete a minimal transversal,
+    and they are emitted in place, exactly as popping the child would
+    emit them. Edges are indices into the minimized family, so
+    ``occ[v]``, the crit sets and the uncovered edges are all bitsets
+    over edge indices. The search uses an
     explicit stack: S can hold more vertices than the recursion limit.
     """
     edges = _minimize_masks(edge_masks)
@@ -189,6 +196,21 @@ def _transversal_masks(n: int, edge_masks: Sequence[int]) -> list[int]:
             left = uncov & ~ov
             if not left:
                 out.append(s | vbit)
+            elif not left & (left - 1):
+                # one uncovered edge left: its unblocked candidates each
+                # complete a minimal transversal, as the child would
+                # find when popped
+                free = cand & edges[left.bit_length() - 1]
+                for c in crit:
+                    lost = c & ov
+                    if lost:
+                        free &= ~_meet(edges, c ^ lost, free)
+                free &= ~_meet(edges, ov & uncov, free)
+                t = s | vbit
+                while free:
+                    w = free & -free
+                    free ^= w
+                    out.append(t | w)
             else:
                 child = []
                 free = cand

@@ -6,6 +6,9 @@ workers the trials run in N forked processes; the records still come
 back in (cell, trial) order, so the output bytes do not depend on N.
 Trial seeds derive from the cell's parameters (not its position), so
 editing the grid never changes the data of cells that stay in it.
+A trial builds no implication base: ``bases.premise_counts`` gives its
+transversal counts, premise pairs and distinct premises from the
+per-attribute premise lists.
 Output is byte-deterministic for a given spec; wall times are measured
 but only written when explicitly requested, since they are the one
 nondeterministic field. A grid that the random model refuses in any cell
@@ -33,9 +36,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bases import premise_conclusions, stem_base
+from .bases import premise_counts, stem_base
 from .bounds import (_avg_terms, _log_terms, almost_sure_lower_exponent,
-                     avg_pp_exponent, base_size_log10, in_bound_domain)
+                     avg_pp_exponent, base_size_log10, check_constant,
+                     in_bound_domain)
 from .randctx import (effective_probabilities, gen_multi, gen_single,
                       spec_from_cell)
 
@@ -90,6 +94,8 @@ class SweepSpec:
             raise ValueError("trials must be >= 1")
         if self.base_seed < 0:
             raise ValueError("seed must be a non-negative integer")
+        check_constant("c", self.c)
+        check_constant("c2", self.c2)
         for cell in self.cells():  # the model's refusal, before any trial
             spec_from_cell(cell)
 
@@ -171,15 +177,13 @@ def run_trial(spec: SweepSpec, cell_index: int, cell_params: dict,
     t0 = time.monotonic()
     ctx = (gen_single if single else gen_multi)(model_spec)
     t1 = time.monotonic()
-    merged, counts = premise_conclusions(ctx)
+    counts, rec.pp_pairs, rec.pp_premises = premise_counts(ctx)
     t2 = time.monotonic()
     rec.gen_ms = (t1 - t0) * 1000.0
     rec.dual_ms = (t2 - t1) * 1000.0
     rec.mt_min = min(counts) if counts else 0
     rec.mt_max = max(counts) if counts else 0
     rec.mt_mean = sum(counts) / len(counts) if counts else 0.0
-    rec.pp_pairs = sum(c.bit_count() for c in merged.values())
-    rec.pp_premises = len(merged)
     if spec.with_stem:
         t3 = time.monotonic()
         rec.stem_count = len(stem_base(ctx))

@@ -437,3 +437,27 @@ def test_importing_the_cli_loads_no_process_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--c", "nan"), "c must be finite, got nan"),
+    (("--c", "inf"), "c must be finite, got inf"),
+    (("--c2=-inf",), "c2 must be finite, got -inf"),
+    (("--c", "nan", "--c2", "inf"), "c must be finite, got nan"),
+])
+def test_non_finite_bound_constant_refused(args, message, tmp_path):
+    for objects in ("10", "2"):  # in the bound's domain and degenerate-dense
+        proc = run_cli("bounds", "--attributes", "10", "--objects", objects,
+                       "--p", "0.5", *args, expect_code=2)
+        assert proc.stdout == b""
+        assert proc.stderr.decode() == f"error: {message}\n"
+    # one trial at n = m = 60 runs for hours; the refusal must come first
+    out = tmp_path / "sweep.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "implbases", "sweep", "--objects", "60",
+         "--attributes", "4,5,60", *args, "--out", str(out)],
+        capture_output=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == f"error: {message}\n"
+    assert not out.exists()

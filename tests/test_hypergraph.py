@@ -8,6 +8,7 @@ from implbases import (Hypergraph, IndexSet, SingleParamSpec,
                        attribute_hypergraph, brute_force_transversals,
                        gen_single, is_transversal, minimal_transversals,
                        normalize)
+from implbases.hypergraph import _transversal_masks
 
 
 def hg(n, *edges):
@@ -192,6 +193,26 @@ def test_dead_end_with_blocked_candidates_matches_the_oracle():
     # the same dead end with three more edges, over a larger universe
     h = hg(7, [0, 2], [1, 2], [0, 3], [1, 3], [3, 6], [3, 4], [0, 1, 4, 5, 6])
     assert minimal_transversals(h) == brute_force_transversals(h)
+
+
+def test_one_edge_left_emits_only_unblocked_candidates():
+    # the root branches on {0,1,2}; the child for 1 leaves only {0,2,3}
+    # uncovered and is finished in place: 0 is a candidate but blocked
+    # (it lies in both edges of 1's crit set, so {0,1,3} would not be
+    # minimal), 2 was left to its later sibling, and 3 completes {1,3}
+    h = hg(4, [0, 1, 2], [0, 1, 3], [0, 2, 3])
+    expected = [(0,), (1, 2), (1, 3), (2, 3)]
+    assert as_member_sets(minimal_transversals(h)) == expected
+    assert as_member_sets(brute_force_transversals(h)) == expected
+
+
+def test_no_repeated_transversal_at_thirty_attributes():
+    # sweeps count transversals with len(), and neither the engine nor
+    # sorted_sets deduplicates, so the engine must not repeat a mask
+    ctx = gen_single(SingleParamSpec(30, 30, 0.5, seed=30))
+    for a in range(ctx.n_attributes):
+        masks = _transversal_masks(30, attribute_hypergraph(ctx, a).edge_masks)
+        assert len(set(masks)) == len(masks)
 
 
 def test_dense_hypergraphs_match_the_oracle():

@@ -6,11 +6,14 @@ import warnings
 
 import pytest
 
-from implbases import (FitError, SweepSpec, almost_sure_lower_exponent,
-                       avg_pp_exponent, base_size_log10, derive_trial_seed,
-                       fit_exponent, fit_lower_envelope, parse_csv, render_csv,
-                       run_sweep)
+from implbases import (FitError, FormalContext, SingleParamSpec, SweepSpec,
+                       almost_sure_lower_exponent, avg_pp_exponent,
+                       base_size_log10, derive_trial_seed, fit_exponent,
+                       fit_lower_envelope, gen_multi, gen_single, parse_csv,
+                       proper_premise_base, render_csv, run_sweep)
 import implbases.sweep as sweep_mod
+from implbases.bases import dualize_attribute
+from implbases.randctx import spec_from_cell
 from implbases.sweep import CSV_COLUMNS, TIMING_FIELDS, TrialRecord
 
 
@@ -255,7 +258,7 @@ def test_size_guards_refuse_before_any_work(overrides, monkeypatch):
     def no_work(*args):
         raise AssertionError("a refused trial did work")
 
-    for name in ("gen_single", "premise_conclusions", "stem_base"):
+    for name in ("gen_single", "premise_counts", "stem_base"):
         monkeypatch.setattr(sweep_mod, name, no_work)
     spec = small_spec(objects=(10,), **overrides)
     rec = sweep_mod.run_trial(spec, 0, spec.cells()[0], 0)
@@ -273,16 +276,51 @@ def test_fit_refuses_a_one_attribute_cell():
         fit_exponent(rows)
 
 
-def test_trial_counts_match_proper_premise_base():
-    from implbases import gen_single, proper_premise_base
-    from implbases.randctx import SingleParamSpec
+def assert_counts_match_the_base(rec, ctx):
+    """The count-only trial path against the full base and the raw
+    per-attribute transversal counts."""
+    n = ctx.n_attributes
+    raw = [len(dualize_attribute(ctx.row_masks, n, a)) for a in range(n)]
+    base = proper_premise_base(ctx)
+    assert (rec.mt_min, rec.mt_max) == (min(raw), max(raw))
+    assert rec.mt_mean == sum(raw) / n
+    assert rec.pp_pairs == base.pair_count
+    assert rec.pp_premises == base.premise_count
 
+
+def test_trial_counts_match_proper_premise_base():
     spec = small_spec(objects=(9,), attributes=(8,), trials=3)
     for rec in run_sweep(spec):
-        base = proper_premise_base(gen_single(SingleParamSpec(
+        assert_counts_match_the_base(rec, gen_single(SingleParamSpec(
             n_objects=9, n_attributes=8, p=0.5, seed=rec.seed)))
-        assert rec.pp_pairs == base.pair_count
-        assert rec.pp_premises == base.premise_count
+
+
+@pytest.mark.parametrize("u, r", [(0, 12), (0, 7), (9, 3)])
+def test_multi_model_trial_counts_match_the_base(u, r):
+    # all-rare, polylog-rare (r = ceil(ln^2 n)) and mostly-ubiquitous
+    # (u = n - ceil(ln n)) cells at n = m = 12: skewed columns, many
+    # shared premises
+    spec = SweepSpec(model="multi", objects=(12,), attributes=(12,),
+                     u_sizes=(u,), r_sizes=(r,), trials=3, base_seed=3)
+    for rec in run_sweep(spec):
+        ctx = gen_multi(spec_from_cell(rec.params, rec.seed))
+        assert_counts_match_the_base(rec, ctx)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 1, 0], [1, 1, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0]],  # all three
+    [[1, 1, 0], [1, 1, 0], [1, 1, 0]],   # identical rows, full and empty
+    [[0, 0, 0], [0, 0, 0]],              # every column empty
+    [[1, 1, 1], [1, 1, 1]],              # every column full
+    [[1, 0, 1, 1, 0], [0, 1, 1, 1, 0], [1, 1, 1, 0, 0], [0, 1, 1, 1, 0]],
+])
+def test_trial_counts_on_full_empty_columns_and_duplicate_rows(rows, monkeypatch):
+    ctx = FormalContext(rows)
+    monkeypatch.setattr(sweep_mod, "gen_single", lambda spec: ctx)
+    spec = small_spec(objects=(ctx.n_objects,), attributes=(ctx.n_attributes,))
+    rec = sweep_mod.run_trial(spec, 0, spec.cells()[0], 0)
+    assert rec.error is None
+    assert_counts_match_the_base(rec, ctx)
 
 
 def test_fit_recovers_the_bound_columns_constants():
