@@ -4,10 +4,10 @@ Two bases are built here. The base of proper premises (canonical direct
 base) comes from per-attribute hypergraph dualization: the proper
 premises of attribute `a` are the minimal transversals of the hypergraph
 whose edges are the complements of the rows missing `a`, with the
-trivial transversal {a} removed. One generator,
-``premises_by_attribute``, dualizes every attribute, yielding one
-attribute's premise list (and its transversal count) at a time; the
-base merges the lists into a premise -> conclusion map, and
+trivial transversal {a} removed. One per-attribute step dualizes `a`
+and drops {a}; ``proper_premises_of`` sorts its result, and the
+generator ``premises_by_attribute`` yields it for every attribute in
+turn. The base merges the lists into a premise -> conclusion map, and
 ``premise_counts``, the sweep's count-only consumer, keeps just the
 summed lengths and a set of the distinct premises. The Duquenne-Guigues
 (stem) base is enumerated in lectic order by one Next-Closure loop over
@@ -84,7 +84,8 @@ class ImplicationBase:
 
     @property
     def premise_count(self) -> int:
-        """Distinct premises (= implication count: premises are unique)."""
+        """Distinct premises: the implication count in the bases this
+        package builds, which the class itself does not enforce."""
         return len({imp.premise.mask for imp in self.implications})
 
     @property
@@ -125,18 +126,24 @@ def dualize_attribute(rows: Sequence[int], n: int, a: int) -> list[int]:
     return _transversal_masks(n, _attribute_edges(rows, n, a))
 
 
-def proper_premises_of(ctx: FormalContext, a: int) -> list[AttributeSet]:
-    """Minimal transversals of the attribute hypergraph, minus the
-    trivial transversal {a}.
+def _attribute_premises(rows: Sequence[int], n: int,
+                        a: int) -> tuple[list[int], int]:
+    """Attribute `a`'s proper-premise masks, in no fixed order, and its
+    minimal-transversal count; the one place {a} is dropped. A full
+    column keeps its one transversal {}: `a` follows from nothing.
+    Otherwise {a} is a minimal transversal (it lies in every edge) and
+    no other one contains `a`."""
+    masks = dualize_attribute(rows, n, a)
+    count = len(masks)
+    if masks != [0]:
+        masks.remove(1 << a)
+    return masks, count
 
-    {a} is always a minimal transversal when edges exist (it belongs to
-    every edge) and no other minimal transversal contains `a`, so the
-    removal is a plain set difference. When column `a` is full the
-    result is [{}]: every object has `a`, so `a` follows from nothing.
-    """
+
+def proper_premises_of(ctx: FormalContext, a: int) -> list[AttributeSet]:
+    """Proper premises of `a`, sorted; [{}] when column `a` is full."""
     n = ctx.n_attributes
-    return sorted_sets(n, (m for m in dualize_attribute(ctx.row_masks, n, a)
-                           if m != 1 << a))
+    return sorted_sets(n, _attribute_premises(ctx.row_masks, n, a)[0])
 
 
 def brute_force_proper_premises(ctx: FormalContext, a: int) -> list[AttributeSet]:
@@ -164,18 +171,11 @@ def premises_by_attribute(ctx: FormalContext) -> Iterator[tuple[list[int], int]]
 
     This is the one loop that dualizes every attribute of a context.
     It keeps only the list of the attribute at hand, so its consumers
-    hold no more than what they build from the lists. When column `a`
-    is full the hypergraph is edgeless and its one transversal {} is
-    the premise; otherwise {a} is a minimal transversal and is removed.
+    hold no more than what they build from the lists.
     """
     n = ctx.n_attributes
-    rows = ctx.row_masks
     for a in range(n):
-        masks = dualize_attribute(rows, n, a)
-        count = len(masks)
-        if masks != [0]:
-            masks.remove(1 << a)
-        yield masks, count
+        yield _attribute_premises(ctx.row_masks, n, a)
 
 
 def premise_counts(ctx: FormalContext) -> tuple[list[int], int, int]:
@@ -267,15 +267,11 @@ def stem_base(ctx: FormalContext) -> ImplicationBase:
     n = ctx.n_attributes
     full = (1 << n) - 1
     found: list[tuple[int, int]] = []  # (pseudo-intent, its closure)
-    implications: list[Implication] = []
     current = 0  # the strict closure of the empty set under no implications
     while True:
         closed = _closure_mask(ctx, current)
         if closed != current:
             found.append((current, closed))
-            implications.append(Implication(
-                IndexSet.from_mask(n, current),
-                IndexSet.from_mask(n, closed & ~current)))
         if current == full:
             break
         # at the least significant absent i nothing is forbidden, so
@@ -298,7 +294,9 @@ def stem_base(ctx: FormalContext) -> ImplicationBase:
             if not mask & forbidden:
                 current = mask
                 break
-    return ImplicationBase(tuple(implications), "stem", n)
+    return ImplicationBase(tuple(
+        Implication(IndexSet.from_mask(n, p), IndexSet.from_mask(n, c & ~p))
+        for p, c in found), "stem", n)
 
 
 def _closure_mask(ctx: FormalContext, attrs_mask: int) -> int:
@@ -353,9 +351,9 @@ def format_implications(base: ImplicationBase,
     An empty premise renders as a line starting with '->'.
     """
     lines = []
-    for imp in sorted(base,
-                      key=lambda i: (sort_key(i.premise), sort_key(i.conclusion))):
-        premise = " ".join(attribute_names[a] for a in imp.premise)
-        conclusion = " ".join(attribute_names[a] for a in imp.conclusion)
-        lines.append(f"{premise} -> {conclusion}" if premise else f"-> {conclusion}")
+    for premise, conclusion in sorted(
+            (sort_key(imp.premise), sort_key(imp.conclusion)) for imp in base):
+        lhs = " ".join(attribute_names[a] for a in premise)
+        rhs = " ".join(attribute_names[a] for a in conclusion)
+        lines.append(f"{lhs} -> {rhs}" if lhs else f"-> {rhs}")
     return "\n".join(lines) + ("\n" if lines else "")

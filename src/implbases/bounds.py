@@ -22,9 +22,9 @@ counts overflow floats at experiment scales. ``base_size_log10`` turns
 either per-attribute exponent into the log10 of the whole base,
 ``|A| ** (E + 1)``. This module is the one home of the bounds' terms and
 refusals (``_log_terms``), of their context domain
-(``in_bound_domain``) and of the check on their constants
-(``check_constant``); the sweep, the fit, the CLI and the scripts take
-them from here.
+(``in_bound_domain``) and of the finiteness check on their constants
+and values (``check_finite``); the sweep, the fit, the CLI and the
+scripts take them from here.
 """
 
 from __future__ import annotations
@@ -53,12 +53,12 @@ def in_bound_domain(n_objects: int, p: float) -> bool:
     return 0.0 < p < 1.0 and n_objects * (1.0 - p) >= MIN_EDGE_COUNT
 
 
-def check_constant(name: str, value: float) -> None:
-    """Refuse a bound constant (c or c2) that is NaN or infinite: the
-    exponents it enters would be NaN or infinite too. The sweep spec and
-    the ``bounds`` command check theirs here, before any work."""
+def check_finite(name: str, value: float) -> float:
+    """`value`, refused when NaN or infinite: a bound constant (c, c2),
+    checked before any work, or a bound that overflowed."""
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value!r}")
+    return value
 
 
 def _log_terms(n_attributes: int, n_objects: int,
@@ -92,16 +92,17 @@ def avg_pp_exponent(n_attributes: int, n_objects: int, p: float,
                     c: float = 1.0) -> float:
     """Exponent of the average per-attribute proper-premise bound
     |A| ** E. Refuses as ``almost_sure_lower_exponent`` does, so also
-    degenerate-dense inputs (objects * q < 3)."""
+    degenerate-dense inputs (objects * q < 3) and an overflow."""
     fixed, lnln = _avg_terms(n_attributes, n_objects, p)
-    return fixed + c * lnln
+    return check_finite("avg_pp_exponent", fixed + c * lnln)
 
 
 def base_size_log10(exponent: float, n_attributes: int) -> float:
     """log10 of |A| ** (E + 1): the whole base is |A| times the
     per-attribute bound |A| ** E. With the average exponent this bounds
     the proper-premise base, and thereby the pseudo-intent count."""
-    return (exponent + 1.0) * math.log10(n_attributes)
+    return check_finite("base_size_log10",
+                        (exponent + 1.0) * math.log10(n_attributes))
 
 
 def almost_sure_lower_exponent(
@@ -110,10 +111,10 @@ def almost_sure_lower_exponent(
     """Exponent of the almost-sure lower bound on per-attribute
     transversal counts, ``log_{1/p}(objects * q) + c2 * ln(ln(objects *
     q))``; c2 stands in for the unspecified O(ln ln m) constant and may
-    be negative.
+    be negative. Refuses what ``_log_terms`` refuses, and an overflow.
     """
     log_base, lnln = _log_terms(n_attributes, n_objects, p)
-    return log_base + c2 * lnln
+    return check_finite("lower_exponent", log_base + c2 * lnln)
 
 
 # -- regime classification ---------------------------------------------------------

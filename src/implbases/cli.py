@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .bases import format_implications, proper_premise_base, stem_base
 from .bounds import (almost_sure_lower_exponent, avg_pp_exponent,
-                     base_size_log10, check_constant, classify_regime,
+                     base_size_log10, check_finite, classify_regime,
                      in_bound_domain)
 from .ctxio import read_context_file, write_burmeister
 from .randctx import gen_multi, gen_single, spec_from_cell, spec_to_keyvalues
@@ -245,8 +245,8 @@ def cmd_bounds(args) -> int:
 
 
 def _bound_rows(args) -> list[tuple[str, str]]:
-    check_constant("c", args.c)
-    check_constant("c2", args.c2)
+    check_finite("c", args.c)
+    check_finite("c2", args.c2)
     if in_bound_domain(args.objects, args.p):
         lower = almost_sure_lower_exponent(args.attributes, args.objects,
                                            args.p, args.c2)

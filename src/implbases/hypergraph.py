@@ -4,11 +4,12 @@ The enumerator is MMCS (Murakami & Uno, 2014): a depth-first search
 that adds one vertex of an uncovered edge at a time, keeps the chosen
 set minimal through per-member crit sets by never offering a vertex
 that would empty one, and holds no intermediate family of
-transversals. A set with one uncovered edge left is finished in place:
-each unblocked candidate in that edge completes one minimal
-transversal, so the search pushes no node for it. Inner loops work on
-raw bitmasks and return families in no fixed order; the public
-functions sort at the boundary (``sets.sorted_sets``).
+transversals. Every child is built by one update of its crit sets and
+candidates; a child with one uncovered edge left starts from its
+candidates in that edge and is finished in place, one minimal
+transversal per unblocked candidate, so the search pushes no node for
+it. Inner loops work on raw bitmasks and return families in no fixed
+order; the public functions sort at the boundary (``sets.sorted_sets``).
 
 Degenerate inputs are distinguished deliberately: a hypergraph with no
 edges has the single (vacuous) minimal transversal ``{}``, while a
@@ -142,33 +143,32 @@ def _transversal_masks(n: int, edge_masks: Sequence[int]) -> list[int]:
     leaves member u without one exactly when v lies in every edge of
     crit(u), the meet of crit(u); such a vertex is blocked. Crit sets
     only shrink as S grows, so a blocked vertex stays blocked in the
-    whole subtree and leaves the candidates for good. A child recomputes
-    the meet of each member whose crit set lost an edge, and of the new
-    member. A node branches on the uncovered edge with the fewest
-    candidates; the child for its i-th candidate adds that vertex and
-    drops the later ones from the candidates, so each minimal
-    transversal is reached once. Every child is minimal by
-    construction: one that covers the last uncovered edge is emitted at
-    once, and a node with an uncovered edge that has no candidate left
-    is a dead end and makes no child. A child that leaves exactly one
-    edge uncovered is not pushed either: its candidates in that edge,
-    less the vertices blocked by the new member and by each member
-    whose crit set lost an edge, each complete a minimal transversal,
-    and they are emitted in place, exactly as popping the child would
-    emit them. Edges are indices into the minimized family, so
-    ``occ[v]``, the crit sets and the uncovered edges are all bitsets
-    over edge indices. The search uses an
-    explicit stack: S can hold more vertices than the recursion limit.
+    whole subtree and leaves the candidates for good. A node branches on
+    the uncovered edge with the fewest candidates; the child for its
+    i-th candidate adds that vertex and drops the later ones from the
+    candidates, so each minimal transversal is reached once. Every child
+    is minimal by construction: one that covers the last uncovered edge
+    is emitted at once, and a node with an uncovered edge that has no
+    candidate left is a dead end. Every other child is built by one
+    update: its crit sets, and its candidates less the vertices in the
+    meet of the new member's crit set or of a crit set that lost an
+    edge. A child that leaves one edge uncovered starts that update from
+    its candidates in that edge; it is not pushed but emits one minimal
+    transversal per unblocked candidate, exactly as popping it would.
+    Edges are indices into the minimized family, so ``occ[v]``, the crit
+    sets and the uncovered edges are bitsets over edge indices. The
+    search uses an explicit stack: S can hold more vertices than the
+    recursion limit.
     """
     edges = _minimize_masks(edge_masks)
     if not edges:
         return [0]
-    if len(edges) == 1:  # an empty edge minimizes the family to [0]
-        return [1 << v for v in _bits(edges[0])]
     occ = [0] * n
     for i, e in enumerate(edges):
-        for v in _bits(e):
-            occ[v] |= 1 << i
+        while e:
+            low = e & -e
+            e ^= low
+            occ[low.bit_length() - 1] |= 1 << i
     out: list[int] = []
     # (S mask, crit sets of S's members, uncovered edges, candidates);
     # no candidate is blocked
@@ -196,24 +196,11 @@ def _transversal_masks(n: int, edge_masks: Sequence[int]) -> list[int]:
             left = uncov & ~ov
             if not left:
                 out.append(s | vbit)
-            elif not left & (left - 1):
-                # one uncovered edge left: its unblocked candidates each
-                # complete a minimal transversal, as the child would
-                # find when popped
-                free = cand & edges[left.bit_length() - 1]
-                for c in crit:
-                    lost = c & ov
-                    if lost:
-                        free &= ~_meet(edges, c ^ lost, free)
-                free &= ~_meet(edges, ov & uncov, free)
-                t = s | vbit
-                while free:
-                    w = free & -free
-                    free ^= w
-                    out.append(t | w)
             else:
+                # one edge left: only the child's candidates in it count
+                last = not left & (left - 1)
+                free = cand & edges[left.bit_length() - 1] if last else cand
                 child = []
-                free = cand
                 for c in crit:
                     lost = c & ov
                     if lost:
@@ -223,7 +210,14 @@ def _transversal_masks(n: int, edge_masks: Sequence[int]) -> list[int]:
                 c = ov & uncov
                 child.append(c)
                 free &= ~_meet(edges, c, free)
-                stack.append((s | vbit, child, left, free))
+                t = s | vbit
+                if last:  # each free candidate completes the child
+                    while free:
+                        w = free & -free
+                        free ^= w
+                        out.append(t | w)
+                else:
+                    stack.append((t, child, left, free))
             cand |= vbit
     return out
 
@@ -235,13 +229,3 @@ def _meet(edges: list[int], crit: int, within: int) -> int:
         crit ^= low
         within &= edges[low.bit_length() - 1]
     return within
-
-
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of `mask`, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out

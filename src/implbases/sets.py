@@ -1,8 +1,9 @@
 """Fixed-universe index sets backed by integer bitmasks.
 
-All set algebra in this package (attribute sets, object sets, hypergraph
-edges, implication premises) runs on these. Elements are dense integer
-indices ``0..universe-1``; the mask representation makes union,
+The package's public sets (attribute sets, object sets, hypergraph
+edges, implication premises) are these; inner loops run on the raw
+masks and wrap results only at the API boundary. Elements are dense
+integer indices ``0..universe-1``; the mask representation makes union,
 intersection and subset tests single big-int operations.
 """
 

@@ -11,11 +11,12 @@ transversal counts, premise pairs and distinct premises from the
 per-attribute premise lists.
 Output is byte-deterministic for a given spec; wall times are measured
 but only written when explicitly requested, since they are the one
-nondeterministic field. A grid that the random model refuses in any cell
-is refused whole, before any trial runs. A trial refused by a size guard
-becomes an error row with blank metrics, decided before any work; the
-bound columns stay blank where the bound is not defined. Nothing else
-makes an error row: an exception inside a trial is a bug and propagates.
+nondeterministic field. A grid that the random model or an overflowing
+bound refuses in any cell is refused whole, before any trial runs. A
+trial refused by a size guard becomes an error row with blank metrics,
+decided before any work; the bound columns stay blank where the bound is
+not defined. Nothing else makes an error row: an exception inside a
+trial is a bug and propagates.
 
 ``fit_exponent`` fits the free constants of the theoretical bound to
 sweep output: the average-bound constant c (with a multiplicative
@@ -38,7 +39,7 @@ import numpy as np
 
 from .bases import premise_counts, stem_base
 from .bounds import (_avg_terms, _log_terms, almost_sure_lower_exponent,
-                     avg_pp_exponent, base_size_log10, check_constant,
+                     avg_pp_exponent, base_size_log10, check_finite,
                      in_bound_domain)
 from .randctx import (effective_probabilities, gen_multi, gen_single,
                       spec_from_cell)
@@ -94,10 +95,10 @@ class SweepSpec:
             raise ValueError("trials must be >= 1")
         if self.base_seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        check_constant("c", self.c)
-        check_constant("c2", self.c2)
-        for cell in self.cells():  # the model's refusal, before any trial
-            spec_from_cell(cell)
+        check_finite("c", self.c)
+        check_finite("c2", self.c2)
+        for cell in self.cells():  # model and bound refusals, before any trial
+            _cell_bounds(self, cell)
 
     def cells(self) -> list[dict]:
         """Grid cells in deterministic enumeration order."""
@@ -154,13 +155,28 @@ def derive_trial_seed(base_seed: int, cell_params: dict, trial: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def _cell_bounds(spec: SweepSpec, cell: dict) -> tuple[float | None, ...]:
+    """A cell's (avg_exponent, lower_exponent, total_log10), all None
+    unless n >= 2 and the cell is the single model at one p (all column
+    probabilities equal) in ``in_bound_domain``. Raises ``ValueError``
+    where the model refuses the cell or a bound overflows."""
+    model_spec = spec_from_cell(cell)
+    n, m = cell["attributes"], cell["objects"]
+    probs = ({model_spec.p} if cell["model"] == "single"
+             else set(effective_probabilities(model_spec)))
+    p = probs.pop() if len(probs) == 1 else None
+    if n < 2 or p is None or not in_bound_domain(m, p):
+        return None, None, None
+    avg = avg_pp_exponent(n, m, p, spec.c)
+    return (avg, almost_sure_lower_exponent(n, m, p, spec.c2),
+            base_size_log10(avg, n))
+
+
 def run_trial(spec: SweepSpec, cell_index: int, cell_params: dict,
               trial: int) -> TrialRecord:
     """One trial's record. Every refusal is decided before any work: a
     trial that a size guard refuses is an error row with blank metrics,
-    and the bound columns are filled only where the bound is defined,
-    that is for n >= 2, a context that is the single model at one p (all
-    column probabilities equal), and ``in_bound_domain``."""
+    and the bound columns come from ``_cell_bounds``."""
     seed = derive_trial_seed(spec.base_seed, cell_params, trial)
     rec = TrialRecord(cell=cell_index, trial=trial, seed=seed, params=cell_params)
     n = cell_params["attributes"]
@@ -188,14 +204,8 @@ def run_trial(spec: SweepSpec, cell_index: int, cell_params: dict,
         t3 = time.monotonic()
         rec.stem_count = len(stem_base(ctx))
         rec.stem_ms = (time.monotonic() - t3) * 1000.0
-    probs = {model_spec.p} if single else set(effective_probabilities(model_spec))
-    m = cell_params["objects"]
-    if n >= 2 and len(probs) == 1:  # the single model at one p
-        (p,) = probs
-        if in_bound_domain(m, p):
-            rec.avg_exponent = avg_pp_exponent(n, m, p, spec.c)
-            rec.total_log10 = base_size_log10(rec.avg_exponent, n)
-            rec.lower_exponent = almost_sure_lower_exponent(n, m, p, spec.c2)
+    rec.avg_exponent, rec.lower_exponent, rec.total_log10 = _cell_bounds(
+        spec, cell_params)
     return rec
 
 

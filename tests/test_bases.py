@@ -5,6 +5,7 @@ from implbases import (FormalContext, Implication, ImplicationBase, IndexSet,
                        brute_force_pseudo_intents, close_fixpoint, close_once,
                        format_implications, proper_premise_base,
                        proper_premises_of, stem_base)
+from implbases.bases import premises_by_attribute
 
 from conftest import random_contexts
 
@@ -128,9 +129,16 @@ def test_proper_premise_base_empty_relation_is_sound():
 
 
 def test_oracle_equivalence_on_random_contexts():
-    for ctx in random_contexts(60, base_seed=5):
-        for a in range(ctx.n_attributes):
-            assert proper_premises_of(ctx, a) == brute_force_proper_premises(ctx, a)
+    full_column = FormalContext([[1, 0, 1], [1, 1, 0], [1, 0, 0]])
+    empty_column = FormalContext([[0, 1, 1], [0, 1, 0], [0, 0, 1]])
+    for ctx in random_contexts(60, base_seed=5) + [full_column, empty_column]:
+        for a, (masks, count) in enumerate(premises_by_attribute(ctx)):
+            oracle = brute_force_proper_premises(ctx, a)
+            assert proper_premises_of(ctx, a) == oracle
+            assert sorted(masks) == sorted(p.mask for p in oracle)
+            # the trivial transversal {a} is counted unless column a is full
+            full = ctx.column_masks[a] == (1 << ctx.n_objects) - 1
+            assert count == len(masks) + (not full)
 
 
 def test_premise_minimality_on_random_contexts(toy_context):
@@ -260,6 +268,20 @@ def test_format_empty_premise():
     ctx = FormalContext([[1, 1, 1]])
     text = format_implications(proper_premise_base(ctx), ctx.attribute_names)
     assert text == "-> a1 a2 a3\n"
+
+
+def test_format_orders_by_member_tuples():
+    # given out of order; a premise shared by two implications ties and
+    # their conclusions decide, by member tuple, not by mask
+    base = ImplicationBase((imp(4, [1, 2], [3]), imp(4, [0], [2]),
+                            imp(4, [0, 3], [1]), imp(4, [0], [1, 3]),
+                            imp(4, [], [3])), "proper", 4)
+    assert format_implications(base, ("a", "b", "c", "d")) == (
+        "-> d\n"
+        "a -> b d\n"
+        "a -> c\n"
+        "a d -> b\n"
+        "b c -> d\n")
 
 
 def test_format_empty_base():

@@ -461,3 +461,28 @@ def test_non_finite_bound_constant_refused(args, message, tmp_path):
     assert proc.stdout == b""
     assert proc.stderr.decode() == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("attributes, args, message", [
+    ("10", ("--c", "1e308"), "avg_pp_exponent must be finite, got inf"),
+    ("10", ("--c2=-1e308",), "lower_exponent must be finite, got -inf"),
+    ("1000", ("--c", "5e307"), "base_size_log10 must be finite, got inf"),
+])
+def test_overflowing_bound_refused(attributes, args, message, tmp_path):
+    """A finite constant so large that a bound overflows is refused like
+    a non-finite one: `bounds` prints one line, and a sweep is refused
+    before --out is opened or any trial runs."""
+    proc = run_cli("bounds", "--attributes", attributes, "--objects", "1000",
+                   "--p", "0.5", *args, expect_code=2)
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == f"error: {message}\n"
+    out = tmp_path / "sweep.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "implbases", "sweep", "--objects", "1000",
+         "--attributes", f"3,{attributes}", "--p", "0.5", *args,
+         "--out", str(out)],
+        capture_output=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == f"error: {message}\n"
+    assert not out.exists()
