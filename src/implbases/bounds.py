@@ -21,10 +21,11 @@ Every bound is one float exponent E of the attribute count; the raw
 counts overflow floats at experiment scales. ``base_size_log10`` turns
 either per-attribute exponent into the log10 of the whole base,
 ``|A| ** (E + 1)``. This module is the one home of the bounds' terms and
-refusals (``_log_terms``), of their context domain
-(``in_bound_domain``) and of the finiteness check on their constants
-and values (``check_finite``); the sweep, the fit, the CLI and the
-scripts take them from here.
+refusals (``_log_terms``), of the condition that defines them
+(``bound_defined``), of the finiteness check on their constants and
+values (``check_finite``) and of one context's exponents
+(``context_exponents``); the sweep, the fit, the CLI and the scripts
+take them from here and restate none of their refusal texts.
 """
 
 from __future__ import annotations
@@ -46,11 +47,20 @@ def d_of_alpha(alpha: float) -> float:
     return (alpha + 1.0) ** 2 / (4.0 * alpha)
 
 
-def in_bound_domain(n_objects: int, p: float) -> bool:
-    """True where the single-model context bounds are defined: p in
-    (0, 1) and objects * q >= 3, so that ln ln(objects * q) is defined
-    and positive. Outside it the context is degenerate-dense."""
-    return 0.0 < p < 1.0 and n_objects * (1.0 - p) >= MIN_EDGE_COUNT
+def bound_defined(n_attributes: int, n_objects: int, p: float) -> bool:
+    """True where the single-model context bounds are defined: at least
+    two attributes, p in (0, 1) and objects * q >= 3, so that ln
+    ln(objects * q) is positive (below that, the context is
+    degenerate-dense). Refuses an object count too large for a float."""
+    try:
+        mq = n_objects * (1.0 - p)
+    except OverflowError:
+        raise ValueError("n_objects is too large for a float") from None
+    return n_attributes >= 2 and 0.0 < p < 1.0 and mq >= MIN_EDGE_COUNT
+
+
+class _DegenerateDense(ValueError):
+    """objects * q < 3: no bound is defined, though its inputs are valid."""
 
 
 def check_finite(name: str, value: float) -> float:
@@ -66,15 +76,18 @@ def _log_terms(n_attributes: int, n_objects: int,
     """``log_{1/p}(objects * q)`` and ``ln(ln(objects * q))``: the two
     terms that every bound here (and the fit of their constants) is
     built from. Refuses, in this order, p outside (0, 1), fewer than two
-    attributes, and a context outside ``in_bound_domain``."""
+    attributes, a negative object count or one too large for a float,
+    and a degenerate-dense context."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must be in (0, 1), got {p}")
     if n_attributes < 2:
         raise ValueError(f"n_attributes must be >= 2, got {n_attributes}")
+    if n_objects < 0:
+        raise ValueError("counts must be >= 0")
+    if not bound_defined(n_attributes, n_objects, p):
+        raise _DegenerateDense(f"objects * q must be >= {MIN_EDGE_COUNT} "
+                               f"(ln ln guard), got {n_objects * (1.0 - p)}")
     m = n_objects * (1.0 - p)
-    if not in_bound_domain(n_objects, p):
-        raise ValueError(
-            f"objects * q must be >= {MIN_EDGE_COUNT} (ln ln guard), got {m}")
     return math.log(m) / math.log(1.0 / p), math.log(math.log(m))
 
 
@@ -115,6 +128,20 @@ def almost_sure_lower_exponent(
     """
     log_base, lnln = _log_terms(n_attributes, n_objects, p)
     return check_finite("lower_exponent", log_base + c2 * lnln)
+
+
+def context_exponents(n_attributes: int, n_objects: int, p: float, c: float = 1.0,
+                      c2: float = 0.0) -> tuple[float, float] | None:
+    """``avg_pp_exponent`` and ``almost_sure_lower_exponent`` of one
+    context, or None where it is degenerate-dense. Refuses a non-finite
+    c or c2 first, then what those two refuse."""
+    check_finite("c", c)
+    check_finite("c2", c2)
+    try:
+        return (avg_pp_exponent(n_attributes, n_objects, p, c),
+                almost_sure_lower_exponent(n_attributes, n_objects, p, c2))
+    except _DegenerateDense:
+        return None
 
 
 # -- regime classification ---------------------------------------------------------

@@ -15,35 +15,23 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .bases import format_implications, proper_premise_base, stem_base
-from .bounds import (almost_sure_lower_exponent, avg_pp_exponent,
-                     base_size_log10, check_finite, classify_regime,
-                     in_bound_domain)
+from .bounds import base_size_log10, classify_regime, context_exponents
 from .ctxio import read_context_file, write_burmeister
 from .randctx import gen_multi, gen_single, spec_from_cell, spec_to_keyvalues
 from .sweep import (DEFAULT_MAX_PROPER_ATTRIBUTES, DEFAULT_MAX_STEM_ATTRIBUTES,
                     FitError, SweepSpec, fit_exponent, parse_csv,
-                    record_fields, render_csv, run_sweep)
+                    record_fields, render_csv, run_sweep, size_guard_refusal)
 
 
-def _int_list(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(v) for v in text.split(",") if v != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-
-
-def _float_list(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(",") if v != "")
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
-
-
-def _open_probability(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"probability must be in (0, 1), got {text}")
-    return value
+def _list_of(kind, noun: str):
+    """An argparse type: a comma-separated list of ``kind`` values."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(v) for v in text.split(",") if v != "")
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {noun}, got {text!r}")
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds = sub.add_parser("bounds", help="evaluate the theoretical size bounds")
     p_bounds.add_argument("--attributes", type=int, required=True)
     p_bounds.add_argument("--objects", type=int, required=True)
-    p_bounds.add_argument("--p", type=_open_probability, required=True)
+    p_bounds.add_argument("--p", type=float, required=True)
     p_bounds.add_argument("--c", type=float, default=1.0)
     p_bounds.add_argument("--c2", type=float, default=0.0)
     p_bounds.add_argument("--u-size", type=int, default=None,
@@ -94,12 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a seeded parameter sweep to CSV")
     p_sweep.add_argument("--model", choices=["single", "multi"], default="single")
-    p_sweep.add_argument("--objects", type=_int_list, required=True,
+    p_sweep.add_argument("--objects", type=_list_of(int, "integers"), required=True,
                          help="comma-separated object counts")
-    p_sweep.add_argument("--attributes", type=_int_list, required=True)
-    p_sweep.add_argument("--p", type=_float_list, default=(0.5,))
-    p_sweep.add_argument("--u-size", type=_int_list, default=(0,))
-    p_sweep.add_argument("--r-size", type=_int_list, default=(0,))
+    p_sweep.add_argument("--attributes", type=_list_of(int, "integers"), required=True)
+    p_sweep.add_argument("--p", type=_list_of(float, "numbers"), default=(0.5,))
+    p_sweep.add_argument("--u-size", type=_list_of(int, "integers"), default=(0,))
+    p_sweep.add_argument("--r-size", type=_list_of(int, "integers"), default=(0,))
     p_sweep.add_argument("--x", type=float, default=2.0)
     p_sweep.add_argument("--f-prob", type=float, default=0.5)
     p_sweep.add_argument("--trials", type=int, default=1)
@@ -169,15 +157,12 @@ def cmd_compute(args) -> int:
               file=sys.stderr)
         return 2
     kinds = ["proper", "stem"] if args.base == "both" else [args.base]
-    if "proper" in kinds and ctx.n_attributes > args.max_proper_attrs:
-        print(f"error: {ctx.n_attributes} attributes exceeds proper-premise "
-              f"size guard {args.max_proper_attrs} (raise --max-proper-attrs)",
-              file=sys.stderr)
-        return 2
-    if "stem" in kinds and ctx.n_attributes > args.max_stem_attrs:
-        print(f"error: {ctx.n_attributes} attributes exceeds stem-base "
-              f"size guard {args.max_stem_attrs} (raise --max-stem-attrs)",
-              file=sys.stderr)
+    refusal = size_guard_refusal(
+        ctx.n_attributes,
+        args.max_proper_attrs if "proper" in kinds else None,
+        args.max_stem_attrs if "stem" in kinds else None)
+    if refusal is not None:
+        print(f"error: {refusal}", file=sys.stderr)
         return 2
 
     results = {}
@@ -245,12 +230,10 @@ def cmd_bounds(args) -> int:
 
 
 def _bound_rows(args) -> list[tuple[str, str]]:
-    check_finite("c", args.c)
-    check_finite("c2", args.c2)
-    if in_bound_domain(args.objects, args.p):
-        lower = almost_sure_lower_exponent(args.attributes, args.objects,
-                                           args.p, args.c2)
-        avg = avg_pp_exponent(args.attributes, args.objects, args.p, args.c)
+    exponents = context_exponents(args.attributes, args.objects, args.p,
+                                  args.c, args.c2)
+    if exponents is not None:
+        avg, lower = exponents
         rows = [("avg_pp_exponent", repr(avg)),
                 ("lower_exponent", repr(lower)),
                 ("total_base_log10", repr(base_size_log10(avg, args.attributes))),
@@ -267,13 +250,6 @@ def _bound_rows(args) -> list[tuple[str, str]]:
         report = classify_regime(spec)
         rows.append(("regime", report.regime))
         rows.append(("regime_witness", report.witness))
-    # counts that no bound takes are refused also where none was
-    # evaluated; checked last, so a refusal by the bounds or by the
-    # regime spec comes first
-    if args.attributes < 2:
-        raise ValueError(f"n_attributes must be >= 2, got {args.attributes}")
-    if args.objects < 0:
-        raise ValueError("counts must be >= 0")
     return rows
 
 

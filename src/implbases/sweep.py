@@ -23,6 +23,12 @@ sweep output: the average-bound constant c (with a multiplicative
 leading constant, fitted in log space by least squares on cell means)
 and the lower-envelope constant c2 (the smallest implied value over the
 calibration trials).
+
+Owners: the random model refuses a cell's values (the seed included)
+and ``bounds`` the bound's inputs, both asked about every cell through
+``_cell_bounds``; ``SweepSpec`` restates only that c and c2 are finite,
+for grids where no cell evaluates a bound. The size guards' one check
+and text are ``size_guard_refusal``'s, which ``compute`` also prints.
 """
 
 from __future__ import annotations
@@ -33,14 +39,14 @@ import io
 import math
 import time
 from dataclasses import dataclass, field, replace
+from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .bases import premise_counts, stem_base
-from .bounds import (_avg_terms, _log_terms, almost_sure_lower_exponent,
-                     avg_pp_exponent, base_size_log10, check_finite,
-                     in_bound_domain)
+from .bounds import (_avg_terms, _log_terms, base_size_log10, bound_defined,
+                     check_finite, context_exponents)
 from .randctx import (effective_probabilities, gen_multi, gen_single,
                       spec_from_cell)
 
@@ -85,40 +91,26 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.model not in ("single", "multi"):
             raise ValueError(f"model must be 'single' or 'multi', got {self.model!r}")
-        if not self.objects or not self.attributes:
-            raise ValueError("grid must be nonempty")
-        if self.model == "single" and not self.p_values:
-            raise ValueError("grid must be nonempty")
-        if self.model == "multi" and (not self.u_sizes or not self.r_sizes):
+        if not self.cells():
             raise ValueError("grid must be nonempty")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError("seed must be a non-negative integer")
         check_finite("c", self.c)
         check_finite("c2", self.c2)
         for cell in self.cells():  # model and bound refusals, before any trial
             _cell_bounds(self, cell)
 
     def cells(self) -> list[dict]:
-        """Grid cells in deterministic enumeration order."""
-        out = []
+        """Grid cells in deterministic enumeration order (the last
+        parameter varies fastest)."""
         if self.model == "single":
-            for m in self.objects:
-                for n in self.attributes:
-                    for p in self.p_values:
-                        out.append({"model": "single", "objects": m,
-                                    "attributes": n, "p": p})
-        else:
-            for m in self.objects:
-                for n in self.attributes:
-                    for u in self.u_sizes:
-                        for r in self.r_sizes:
-                            out.append({"model": "multi", "objects": m,
-                                        "attributes": n, "u_size": u,
-                                        "r_size": r, "x": self.x,
-                                        "f_prob": self.f_prob})
-        return out
+            return [{"model": "single", "objects": m, "attributes": n, "p": p}
+                    for m, n, p in product(self.objects, self.attributes,
+                                           self.p_values)]
+        return [{"model": "multi", "objects": m, "attributes": n,
+                 "u_size": u, "r_size": r, "x": self.x, "f_prob": self.f_prob}
+                for m, n, u, r in product(self.objects, self.attributes,
+                                          self.u_sizes, self.r_sizes)]
 
 
 @dataclass
@@ -155,21 +147,32 @@ def derive_trial_seed(base_seed: int, cell_params: dict, trial: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def size_guard_refusal(n_attributes: int, max_proper_attributes: int | None,
+                       max_stem_attributes: int | None) -> str | None:
+    """The refusal of the first size guard that ``n_attributes``
+    exceeds, or None; a guard of None (a base not computed) is skipped."""
+    for base, guard in (("proper-premise", max_proper_attributes),
+                        ("stem-base", max_stem_attributes)):
+        if guard is not None and n_attributes > guard:
+            return (f"refusing {base} computation for {n_attributes} "
+                    f"attributes (guard {guard})")
+    return None
+
+
 def _cell_bounds(spec: SweepSpec, cell: dict) -> tuple[float | None, ...]:
     """A cell's (avg_exponent, lower_exponent, total_log10), all None
-    unless n >= 2 and the cell is the single model at one p (all column
-    probabilities equal) in ``in_bound_domain``. Raises ``ValueError``
-    where the model refuses the cell or a bound overflows."""
-    model_spec = spec_from_cell(cell)
+    unless the cell is the single model at one p (all column
+    probabilities equal) where ``bound_defined``. Raises ``ValueError``
+    where the model (seed included) or the bound refuses the cell."""
+    model_spec = spec_from_cell(cell, spec.base_seed)
     n, m = cell["attributes"], cell["objects"]
     probs = ({model_spec.p} if cell["model"] == "single"
              else set(effective_probabilities(model_spec)))
     p = probs.pop() if len(probs) == 1 else None
-    if n < 2 or p is None or not in_bound_domain(m, p):
+    if p is None or not bound_defined(n, m, p):
         return None, None, None
-    avg = avg_pp_exponent(n, m, p, spec.c)
-    return (avg, almost_sure_lower_exponent(n, m, p, spec.c2),
-            base_size_log10(avg, n))
+    avg, lower = context_exponents(n, m, p, spec.c, spec.c2)
+    return avg, lower, base_size_log10(avg, n)
 
 
 def run_trial(spec: SweepSpec, cell_index: int, cell_params: dict,
@@ -179,14 +182,10 @@ def run_trial(spec: SweepSpec, cell_index: int, cell_params: dict,
     and the bound columns come from ``_cell_bounds``."""
     seed = derive_trial_seed(spec.base_seed, cell_params, trial)
     rec = TrialRecord(cell=cell_index, trial=trial, seed=seed, params=cell_params)
-    n = cell_params["attributes"]
-    if n > spec.max_proper_attributes:
-        rec.error = (f"refusing proper-premise computation for {n} attributes "
-                     f"(guard {spec.max_proper_attributes})")
-        return rec
-    if spec.with_stem and n > spec.max_stem_attributes:
-        rec.error = (f"refusing stem-base computation for {n} attributes "
-                     f"(guard {spec.max_stem_attributes})")
+    rec.error = size_guard_refusal(
+        cell_params["attributes"], spec.max_proper_attributes,
+        spec.max_stem_attributes if spec.with_stem else None)
+    if rec.error is not None:
         return rec
     single = cell_params["model"] == "single"
     model_spec = spec_from_cell(cell_params, seed)
@@ -362,12 +361,9 @@ class FitResult:
 def _bound_terms(n: int, m_objects: int, p: float) -> tuple[float, float]:
     """Fixed term A and c-coefficient B of ln(bound) = A + c*B: the two
     terms of `avg_pp_exponent` times ln(n)."""
-    if not in_bound_domain(m_objects, p):
-        raise FitError(f"cell objects*q={m_objects * (1.0 - p)} below ln ln guard"
-                       if 0.0 < p < 1.0 else f"cell p={p!r} outside (0, 1)")
     try:
         fixed, lnln = _avg_terms(n, m_objects, p)
-    except ValueError as exc:  # n < 2: a cell that no bound covers
+    except ValueError as exc:  # a cell that the bound does not cover
         raise FitError(str(exc)) from None
     ln_n = math.log(n)
     return fixed * ln_n, lnln * ln_n
@@ -440,7 +436,7 @@ def fit_lower_envelope(
     calibration trial."""
     implied = []
     for n, m, p, count in trials:
-        if n < 2 or not in_bound_domain(m, p) or count <= 0:
+        if not bound_defined(n, m, p) or count <= 0:
             continue
         log_base, lnln = _log_terms(n, m, p)
         implied.append((math.log(count) / math.log(n) - log_base) / lnln)

@@ -70,7 +70,9 @@ def test_compute_stem_size_guard(tmp_path):
     path = tmp_path / "wide.cxt"
     path.write_text(f"B\n\n2\n25\n\n{names}\n{rows}\n")
     proc = run_cli("compute", str(path), "--base", "stem", expect_code=2)
-    assert b"size guard" in proc.stderr
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == (
+        "error: refusing stem-base computation for 25 attributes (guard 24)\n")
     # overridable
     run_cli("compute", str(path), "--base", "stem", "--max-stem-attrs", "25")
 
@@ -266,7 +268,7 @@ def test_fit_refusal_stderr_lines(tmp_path):
             "--seed", "5", "--out", str(csv_path))
     proc = run_cli("fit", str(csv_path), expect_code=1)
     assert proc.stderr.decode().splitlines() == [
-        "error: cell objects*q=2.5 below ln ln guard"]
+        "error: objects * q must be >= 3.0 (ln ln guard), got 2.5"]
     text = csv_path.read_text()
     for header, schema in (("", "missing"), ("# schema=2\n", "2")):
         csv_path.write_text(text.replace("# schema=1\n", header))
@@ -486,3 +488,87 @@ def test_overflowing_bound_refused(attributes, args, message, tmp_path):
     assert proc.stdout == b""
     assert proc.stderr.decode() == f"error: {message}\n"
     assert not out.exists()
+
+
+BIG_COUNT = "1" + "0" * 400  # an integer that no float holds
+
+
+def test_object_count_too_large_for_a_float_refused(tmp_path):
+    proc = run_cli("bounds", "--attributes", "10", "--objects", BIG_COUNT,
+                   "--p", "0.5", expect_code=2)
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == "error: n_objects is too large for a float\n"
+    # in the bound's domain, and in cells where no bound is defined
+    for attributes, p in (("10", "0.5"), ("1", "0.5"), ("10", "0")):
+        out = tmp_path / "sweep.csv"
+        proc = run_cli("sweep", "--objects", BIG_COUNT, "--attributes",
+                       attributes, "--p", p, "--out", str(out), expect_code=2)
+        assert proc.stdout == b""
+        assert proc.stderr.decode() == (
+            "error: n_objects is too large for a float\n")
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("p, shown", [
+    ("0", "0.0"), ("1", "1.0"), ("1.5", "1.5"), ("nan", "nan")])
+@pytest.mark.parametrize("context", [
+    ("--attributes", "10", "--objects", "50"),  # in the bound's domain
+    ("--attributes", "10", "--objects", "2"),  # degenerate-dense at any p
+    ("--attributes", "10", "--objects", "50", "--u-size", "0",
+     "--r-size", "3"),
+])
+def test_bounds_p_outside_the_open_interval_refused(p, shown, context):
+    proc = run_cli("bounds", *context, "--p", p, expect_code=2)
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == f"error: p must be in (0, 1), got {shown}\n"
+
+
+def test_bounds_p_not_a_number_is_argparse_usage_error():
+    proc = run_cli("bounds", "--attributes", "10", "--objects", "50",
+                   "--p", "abc", expect_code=2)
+    assert proc.stdout == b""
+    assert proc.stderr.decode().splitlines()[-1] == (
+        "implbases bounds: error: argument --p: invalid float value: 'abc'")
+
+
+def _fit_stderr(tmp_path, *sweep_args):
+    csv_path = tmp_path / "sweep.csv"
+    run_cli("sweep", *sweep_args, "--seed", "5", "--out", str(csv_path))
+    return run_cli("fit", str(csv_path), expect_code=1).stderr.decode()
+
+
+def _p_zero_texts(tmp_path, toy_context_path):
+    fit = _fit_stderr(tmp_path, "--objects", "10", "--attributes", "5,6,7",
+                      "--p", "0")
+    bounds = run_cli("bounds", "--attributes", "5", "--objects", "10",
+                     "--p", "0", expect_code=2).stderr.decode()
+    return fit, bounds
+
+
+def _ln_ln_guard_texts(tmp_path, toy_context_path):
+    from implbases import avg_pp_exponent
+
+    fit = _fit_stderr(tmp_path, "--objects", "5,10", "--attributes", "6,8",
+                      "--p", "0.5")
+    with pytest.raises(ValueError) as info:
+        avg_pp_exponent(6, 5, 0.5)  # the first cell of the fit
+    return fit, f"error: {info.value}\n"
+
+
+def _size_guard_texts(tmp_path, toy_context_path):
+    compute = run_cli("compute", toy_context_path, "--max-proper-attrs", "3",
+                      expect_code=2).stderr.decode()
+    rows = parse_csv(run_cli("sweep", "--objects", "5", "--attributes", "5",
+                             "--max-proper-attrs", "3",
+                             expect_code=1).stdout.decode())
+    return compute, f"error: {rows[0]['error']}\n"
+
+
+@pytest.mark.parametrize("texts", [
+    _p_zero_texts, _ln_ln_guard_texts, _size_guard_texts])
+def test_one_refusal_one_text(texts, tmp_path, toy_context_path):
+    """Each refusal has one owner: where two commands refuse the same
+    input, they print the same line."""
+    first, second = texts(tmp_path, toy_context_path)
+    assert first == second
+    assert len(first.splitlines()) == 1 and first.startswith("error: ")

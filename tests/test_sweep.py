@@ -346,7 +346,7 @@ def test_fit_refuses_a_cell_at_p_zero():
     rows = [{"row": "trial", "error": "", "model": "single",
              "attributes": str(n), "objects": "10", "p": "0.0",
              "mt_mean": "1.0"} for n in (5, 6, 7)]
-    with pytest.raises(FitError, match=r"cell p=0\.0 outside \(0, 1\)"):
+    with pytest.raises(FitError, match=r"^p must be in \(0, 1\), got 0\.0$"):
         fit_exponent(rows)
 
 
