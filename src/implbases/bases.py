@@ -7,13 +7,18 @@ whose edges are the complements of the rows missing `a`, with the
 trivial transversal {a} removed. One per-attribute step dualizes `a`
 and drops {a}; ``proper_premises_of`` sorts its result, and the
 generator ``premises_by_attribute`` yields it for every attribute in
-turn. The base merges the lists into a premise -> conclusion map, and
-``premise_counts``, the sweep's count-only consumer, keeps just the
-summed lengths and a set of the distinct premises. The Duquenne-Guigues
-(stem) base is enumerated in lectic order by one Next-Closure loop over
-the sets closed under strict application of the implications found so
-far; a candidate's closure stops at the first attribute that fails the
-lectic test. Its premises are exactly the pseudo-intents.
+turn. The base merges the lists into a premise -> conclusion map,
+orders the premise masks once, on the member tuple that
+``sets.mask_members`` computes from each mask, and only then wraps
+them; ``Implication`` and ``ImplicationBase`` check their invariants on
+the raw masks. ``premise_counts``, the sweep's count-only consumer,
+keeps just the summed lengths and a set of the distinct premises. The
+Duquenne-Guigues (stem) base is enumerated in lectic order by one
+Next-Closure loop over the sets closed under strict application of the
+implications found so far; a candidate's closure stops at the first
+attribute that fails the lectic test. Its premises are exactly the
+pseudo-intents. ``format_implications`` computes each member tuple once
+and sorts the text lines on them.
 
 Both constructions have brute-force oracles used by the test suite.
 """
@@ -21,17 +26,18 @@ Both constructions have brute-force oracles used by the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .context import FormalContext
 from .hypergraph import Hypergraph, _scan_subsets, _transversal_masks
-from .sets import AttributeSet, IndexSet, sort_key, sorted_sets
+from .sets import AttributeSet, IndexSet, mask_members, sorted_sets
 
 BRUTE_FORCE_PREMISE_LIMIT = 15
 BRUTE_FORCE_PSEUDO_INTENT_LIMIT = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Implication:
     """Premise/conclusion pair over a shared attribute universe.
 
@@ -43,11 +49,12 @@ class Implication:
     conclusion: AttributeSet
 
     def __post_init__(self) -> None:
-        if self.premise.universe != self.conclusion.universe:
+        premise, conclusion = self.premise, self.conclusion
+        if premise.universe != conclusion.universe:
             raise ValueError("premise and conclusion universes differ")
-        if not self.conclusion:
+        if not conclusion.mask:
             raise ValueError("conclusion must be nonempty")
-        if self.premise.intersects(self.conclusion):
+        if premise.mask & conclusion.mask:
             raise ValueError("conclusion must exclude premise members")
 
     def __repr__(self) -> str:
@@ -67,14 +74,11 @@ class ImplicationBase:
     def __post_init__(self) -> None:
         if self.kind not in ("proper", "stem"):
             raise ValueError(f"unknown base kind {self.kind!r}")
-        seen = set()
-        for imp in self.implications:
-            if imp.premise.universe != self.n_attributes:
-                raise ValueError("implication universe differs from base universe")
-            key = (imp.premise.mask, imp.conclusion.mask)
-            if key in seen:
-                raise ValueError("duplicate implication")
-            seen.add(key)
+        universes = set(map(attrgetter("premise.universe"), self.implications))
+        if not universes <= {self.n_attributes}:
+            raise ValueError("implication universe differs from base universe")
+        if len(set(self.mask_pairs())) != len(self.implications):
+            raise ValueError("duplicate implication")
 
     def __len__(self) -> int:
         return len(self.implications)
@@ -82,16 +86,22 @@ class ImplicationBase:
     def __iter__(self):
         return iter(self.implications)
 
+    def mask_pairs(self) -> list[tuple[int, int]]:
+        """Each implication's (premise mask, conclusion mask), in order."""
+        return list(map(attrgetter("premise.mask", "conclusion.mask"),
+                        self.implications))
+
     @property
     def premise_count(self) -> int:
         """Distinct premises: the implication count in the bases this
         package builds, which the class itself does not enforce."""
-        return len({imp.premise.mask for imp in self.implications})
+        return len(set(map(attrgetter("premise.mask"), self.implications)))
 
     @property
     def pair_count(self) -> int:
         """Premise -> single-attribute pairs, i.e. summed conclusion sizes."""
-        return sum(len(imp.conclusion) for imp in self.implications)
+        return sum(map(int.bit_count,
+                       map(attrgetter("conclusion.mask"), self.implications)))
 
 
 # -- proper premises ----------------------------------------------------------
@@ -205,13 +215,10 @@ def proper_premise_base(ctx: FormalContext) -> ImplicationBase:
         abit = 1 << a
         for p in masks:
             merged[p] = merged.get(p, 0) | abit
-    implications = [
-        Implication(IndexSet.from_mask(n, pmask),
-                    IndexSet.from_mask(n, cmask))
-        for pmask, cmask in merged.items()
-    ]
-    implications.sort(key=lambda imp: sort_key(imp.premise))
-    return ImplicationBase(tuple(implications), "proper", n)
+    # ordered once, on the masks' member tuples, and only then wrapped
+    return ImplicationBase(tuple(
+        Implication(IndexSet.from_mask(n, p), IndexSet.from_mask(n, merged[p]))
+        for p in sorted(merged, key=mask_members)), "proper", n)
 
 
 # -- implication-set closure ---------------------------------------------------
@@ -350,10 +357,11 @@ def format_implications(base: ImplicationBase,
     attribute index, lines sorted by (premise, conclusion) index tuples.
     An empty premise renders as a line starting with '->'.
     """
+    name = attribute_names.__getitem__
     lines = []
     for premise, conclusion in sorted(
-            (sort_key(imp.premise), sort_key(imp.conclusion)) for imp in base):
-        lhs = " ".join(attribute_names[a] for a in premise)
-        rhs = " ".join(attribute_names[a] for a in conclusion)
+            (mask_members(p), mask_members(c)) for p, c in base.mask_pairs()):
+        lhs = " ".join(map(name, premise))
+        rhs = " ".join(map(name, conclusion))
         lines.append(f"{lhs} -> {rhs}" if lhs else f"-> {rhs}")
     return "\n".join(lines) + ("\n" if lines else "")

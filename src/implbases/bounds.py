@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .randctx import MultiParamSpec
+from .randctx import MultiParamSpec, object_count_as_float
 
 MIN_EDGE_COUNT = 3.0  # ln(ln(m)) must be defined and positive
 
@@ -52,10 +52,7 @@ def bound_defined(n_attributes: int, n_objects: int, p: float) -> bool:
     two attributes, p in (0, 1) and objects * q >= 3, so that ln
     ln(objects * q) is positive (below that, the context is
     degenerate-dense). Refuses an object count too large for a float."""
-    try:
-        mq = n_objects * (1.0 - p)
-    except OverflowError:
-        raise ValueError("n_objects is too large for a float") from None
+    mq = object_count_as_float(n_objects) * (1.0 - p)
     return n_attributes >= 2 and 0.0 < p < 1.0 and mq >= MIN_EDGE_COUNT
 
 

@@ -2,7 +2,11 @@
 evaluate bounds, run sweeps, fit constants.
 
 All output is deterministic for fixed flags (wall-clock columns are
-opt-in), so identical invocations produce identical bytes.
+opt-in), so identical invocations produce identical bytes. The JSON of
+``compute`` is written by one renderer, ``_bases_json``, straight from
+the bases' masks: its bytes equal ``json.dumps(payload, indent=2,
+sort_keys=True)`` of the payload it describes, whose pure-Python
+indenting encoder would cost several times more on a large base.
 """
 
 from __future__ import annotations
@@ -18,9 +22,11 @@ from .bases import format_implications, proper_premise_base, stem_base
 from .bounds import base_size_log10, classify_regime, context_exponents
 from .ctxio import read_context_file, write_burmeister
 from .randctx import gen_multi, gen_single, spec_from_cell, spec_to_keyvalues
+from .sets import mask_members
 from .sweep import (DEFAULT_MAX_PROPER_ATTRIBUTES, DEFAULT_MAX_STEM_ATTRIBUTES,
-                    FitError, SweepSpec, fit_exponent, parse_csv,
-                    record_fields, render_csv, run_sweep, size_guard_refusal)
+                    FitError, SweepSpec, check_workers, fit_exponent,
+                    parse_csv, record_fields, render_csv, run_sweep,
+                    size_guard_refusal)
 
 
 def _list_of(kind, noun: str):
@@ -170,24 +176,7 @@ def cmd_compute(args) -> int:
         base = proper_premise_base(ctx) if kind == "proper" else stem_base(ctx)
         results[kind] = base
     if args.format == "json":
-        payload = {
-            "objects": ctx.n_objects,
-            "attributes": ctx.n_attributes,
-            "bases": {
-                kind: {
-                    "implications": [
-                        {"premise": [ctx.attribute_names[a] for a in imp.premise],
-                         "conclusion": [ctx.attribute_names[a] for a in imp.conclusion]}
-                        for imp in base
-                    ],
-                    "implication_count": len(base),
-                    "premise_count": base.premise_count,
-                    "pair_count": base.pair_count,
-                }
-                for kind, base in results.items()
-            },
-        }
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(_bases_json(ctx, results))
         return 0
     for kind, base in results.items():
         if len(results) > 1:
@@ -198,6 +187,37 @@ def cmd_compute(args) -> int:
             f"pairs={base.pair_count} attributes={ctx.n_attributes} "
             f"objects={ctx.n_objects}\n")
     return 0
+
+
+def _bases_json(ctx, results: dict) -> str:
+    """``compute --format json``: exactly the bytes that
+    ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` writes for
+    the payload ``{"objects", "attributes", "bases": {kind: {
+    "implications": [{"premise": [names], "conclusion": [names]}, ...],
+    "implication_count", "premise_count", "pair_count"}}}``, without
+    building it: each attribute name is encoded once by ``json.dumps``,
+    and the implications keep their base order."""
+    member = [f"\n            {json.dumps(name)}" for name in ctx.attribute_names]
+
+    def name_list(mask: int) -> str:  # at an implication's member depth
+        if not mask:
+            return "[]"
+        return f"[{','.join([member[a] for a in mask_members(mask)])}\n          ]"
+
+    kinds = []
+    for kind, base in sorted(results.items()):
+        imps = ",".join([
+            f'\n        {{\n          "conclusion": {name_list(c)},'
+            f'\n          "premise": {name_list(p)}\n        }}'
+            for p, c in base.mask_pairs()])
+        imps = f"[{imps}\n      ]" if imps else "[]"
+        kinds.append(
+            f'\n    "{kind}": {{\n      "implication_count": {len(base)},'
+            f'\n      "implications": {imps},'
+            f'\n      "pair_count": {base.pair_count},'
+            f'\n      "premise_count": {base.premise_count}\n    }}')
+    return (f'{{\n  "attributes": {ctx.n_attributes},\n  "bases": {{'
+            f'{",".join(kinds)}\n  }},\n  "objects": {ctx.n_objects}\n}}\n')
 
 
 def cmd_gen(args) -> int:
@@ -272,8 +292,7 @@ def cmd_sweep(args) -> int:
             max_proper_attributes=args.max_proper_attrs,
             max_stem_attributes=args.max_stem_attrs,
         )
-        if args.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {args.workers}")
+        check_workers(args.workers)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

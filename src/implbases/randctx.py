@@ -24,6 +24,16 @@ import numpy as np
 from .context import FormalContext
 
 
+def object_count_as_float(n_objects: int) -> float:
+    """`n_objects` as a float, which the column probabilities and the
+    bounds compute with; refuses a count that no float holds. The one
+    check and text of that refusal."""
+    try:
+        return float(n_objects)
+    except OverflowError:
+        raise ValueError("n_objects is too large for a float") from None
+
+
 @dataclass(frozen=True)
 class SingleParamSpec:
     """Every cell is a cross independently with probability p."""
@@ -36,6 +46,7 @@ class SingleParamSpec:
     def __post_init__(self) -> None:
         if self.n_objects < 0 or self.n_attributes < 0:
             raise ValueError("counts must be >= 0")
+        object_count_as_float(self.n_objects)
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {self.p}")
         if self.seed < 0:
@@ -62,6 +73,7 @@ class MultiParamSpec:
     def __post_init__(self) -> None:
         if self.n_objects < 0 or self.n_attributes < 0:
             raise ValueError("counts must be >= 0")
+        object_count_as_float(self.n_objects)
         if self.u_size < 0 or self.r_size < 0:
             raise ValueError("class sizes must be >= 0")
         if self.u_size + self.r_size > self.n_attributes:

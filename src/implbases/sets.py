@@ -29,8 +29,8 @@ class IndexSet:
             if not 0 <= i < universe:
                 raise ValueError(f"member {i} outside universe of size {universe}")
             mask |= 1 << i
-        object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "mask", mask)
+        _set_universe(self, universe)
+        _set_mask(self, mask)
 
     @classmethod
     def from_mask(cls, universe: int, mask: int) -> "IndexSet":
@@ -38,8 +38,8 @@ class IndexSet:
         if mask < 0 or mask >> universe:
             raise ValueError(f"mask {mask:#x} has bits outside universe {universe}")
         s = cls.__new__(cls)
-        object.__setattr__(s, "universe", universe)
-        object.__setattr__(s, "mask", mask)
+        _set_universe(s, universe)
+        _set_mask(s, mask)
         return s
 
     @classmethod
@@ -55,11 +55,7 @@ class IndexSet:
         return 0 <= i < self.universe and bool(self.mask >> i & 1)
 
     def __iter__(self) -> Iterator[int]:
-        mask = self.mask
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+        return iter(mask_members(self.mask))
 
     def __len__(self) -> int:
         return self.mask.bit_count()
@@ -70,7 +66,7 @@ class IndexSet:
     @property
     def members(self) -> tuple[int, ...]:
         """Ascending member indices; also the canonical sort key."""
-        return tuple(self)
+        return mask_members(self.mask)
 
     def is_subset(self, other: "IndexSet") -> bool:
         self._check(other)
@@ -132,21 +128,39 @@ class IndexSet:
             )
 
 
+# the slots' own setters: they bypass the refusing ``__setattr__`` and
+# cost less than ``object.__setattr__``, which looks the name up
+_set_universe = IndexSet.universe.__set__
+_set_mask = IndexSet.mask.__set__
+
 # Attribute and object sets share the representation; the distinction is
 # which universe (attribute count vs object count) they are built over.
 AttributeSet = IndexSet
 ObjectSet = IndexSet
 
 
+def mask_members(mask: int) -> tuple[int, ...]:
+    """Ascending indices of the set bits of `mask`: the members of the
+    set it codes, and so its `sort_key`. The one mask -> members loop."""
+    if mask < 0:
+        raise ValueError(f"mask {mask:#x} is negative")
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(members)
+
+
 def sort_key(s: IndexSet) -> tuple[int, ...]:
     """Lexicographic-by-members order used for all deterministic output."""
-    return s.members
+    return mask_members(s.mask)
 
 
 def sorted_sets(universe: int, masks: Iterable[int]) -> list[IndexSet]:
-    """The canonical form of a set family: `masks` wrapped as index
-    sets over `universe`, in `sort_key` order. Mask-level kernels return
-    families in no fixed order; their callers sort here, at the API
-    boundary."""
-    return sorted((IndexSet.from_mask(universe, m) for m in masks),
-                  key=sort_key)
+    """The canonical form of a set family: `masks` in `sort_key` order,
+    then wrapped as index sets over `universe`. Mask-level kernels
+    return families in no fixed order; their callers sort here, at the
+    API boundary."""
+    return [IndexSet.from_mask(universe, m)
+            for m in sorted(masks, key=mask_members)]

@@ -28,7 +28,8 @@ Owners: the random model refuses a cell's values (the seed included)
 and ``bounds`` the bound's inputs, both asked about every cell through
 ``_cell_bounds``; ``SweepSpec`` restates only that c and c2 are finite,
 for grids where no cell evaluates a bound. The size guards' one check
-and text are ``size_guard_refusal``'s, which ``compute`` also prints.
+and text are ``size_guard_refusal``'s, which ``compute`` also prints,
+and the worker count's are ``check_workers``'s.
 """
 
 from __future__ import annotations
@@ -215,6 +216,13 @@ def _run_job(spec: SweepSpec, job: tuple[int, dict, int]) -> TrialRecord:
     return run_trial(spec, *job)
 
 
+def check_workers(workers: int) -> None:
+    """Refuses a worker count below one: the one check and text of that
+    refusal, which the CLI asks before it opens ``--out``."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+
+
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[TrialRecord]:
     """All trial records, ordered by (cell index, trial index).
 
@@ -227,8 +235,7 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[TrialRecord]:
     trial, or no fork start method, the trials run one after another in
     this process.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    check_workers(workers)
     jobs = [(ci, params, t) for ci, params in enumerate(spec.cells())
             for t in range(spec.trials)]
     if workers > 1 and len(jobs) > 1:

@@ -509,6 +509,24 @@ def test_object_count_too_large_for_a_float_refused(tmp_path):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("args", [
+    ("gen", "--objects", BIG_COUNT, "--attributes", "3"),
+    ("gen", "--model", "multi", "--objects", BIG_COUNT, "--attributes", "5",
+     "--u-size", "2"),
+    ("sweep", "--model", "multi", "--objects", BIG_COUNT, "--attributes", "5",
+     "--u-size", "2"),
+])
+def test_random_model_refuses_an_object_count_too_large_for_a_float(
+        args, tmp_path):
+    """The model's spec refuses the count, before any column is sampled
+    and before ``--out`` is opened."""
+    out = tmp_path / "out"
+    proc = run_cli(*args, "--out", str(out), expect_code=2)
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == "error: n_objects is too large for a float\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("p, shown", [
     ("0", "0.0"), ("1", "1.0"), ("1.5", "1.5"), ("nan", "nan")])
 @pytest.mark.parametrize("context", [
@@ -572,3 +590,57 @@ def test_one_refusal_one_text(texts, tmp_path, toy_context_path):
     first, second = texts(tmp_path, toy_context_path)
     assert first == second
     assert len(first.splitlines()) == 1 and first.startswith("error: ")
+
+
+# Attribute names that JSON must escape: a quote, a backslash, a tab,
+# letters outside ASCII (one outside the BMP) and inner spaces.
+AWKWARD_NAMES = ('say "hi"', "back\\slash", "tab\there", "Größe", "日本 語",
+                 "emoji \U0001F600", " two  words ")
+
+
+def _burmeister(names, rows) -> str:
+    objects = [f"o{i}" for i in range(len(rows))]
+    return "\n".join(["B", "", str(len(rows)), str(len(names)), "",
+                      *objects, *names, *rows]) + "\n"
+
+
+# name -> (attribute names, rows)
+JSON_CONTEXTS = {
+    # column 1 is full (its premise is empty, its hypergraph edgeless)
+    # and column 4 empty (it follows from every set no object has)
+    "awkward": (AWKWARD_NAMES, ["XX.X..X", ".XXX.X.", "XX...X.", ".X.X.XX",
+                                "XXX..X.", ".X....X"]),
+    # a contranominal scale: every set is closed, so both bases are empty
+    "contranominal": (AWKWARD_NAMES[:3], [".XX", "X.X", "XX."]),
+    # the stem base of a full relation is one implication -> everything,
+    # and its proper base one empty premise per attribute
+    "full": (AWKWARD_NAMES[3:], ["XXXX", "XXXX"]),
+}
+
+
+@pytest.mark.parametrize("base", ["proper", "stem", "both"])
+@pytest.mark.parametrize("context", sorted(JSON_CONTEXTS))
+def test_compute_json_is_the_json_module_rendering(context, base, tmp_path):
+    """``compute --format json`` writes exactly what the json module
+    writes for the same payload at ``indent=2, sort_keys=True``."""
+    names, rows = JSON_CONTEXTS[context]
+    path = tmp_path / "ctx.cxt"
+    path.write_text(_burmeister(names, rows), encoding="utf-8")
+    out = run_cli("compute", str(path), "--base", base,
+                  "--format", "json").stdout.decode("ascii")
+    payload = json.loads(out)
+    assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    kinds = ["proper", "stem"] if base == "both" else [base]
+    assert sorted(payload["bases"]) == kinds
+    listed = {name for kind in kinds
+              for imp in payload["bases"][kind]["implications"]
+              for name in imp["premise"] + imp["conclusion"]}
+    assert listed <= set(names)
+    if context == "awkward":
+        assert listed == set(names)
+        if "proper" in kinds:
+            assert {"premise": [], "conclusion": [names[1]]} in (
+                payload["bases"]["proper"]["implications"])
+    if context == "contranominal":
+        assert all(payload["bases"][kind]["implications"] == []
+                   for kind in kinds)

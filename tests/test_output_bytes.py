@@ -4,9 +4,11 @@ fixed set of runs.
 The digests were recorded before the proper-premise kernel, the trial
 record mapping and the sweep loop were consolidated, the stem-base pins
 on 20 x 20 contexts before the Next-Closure loop of ``stem_base`` was
-folded into one, and the two ``gen`` pins before every generator spec
-came to be built by ``randctx.spec_from_cell``, so any change to the
-bytes those paths write shows up here. The bound and sweep pins that
+folded into one, the 30 x 30 proper-premise and 12 x 12 two-base pins
+before the base came to be ordered on mask-derived keys and its JSON
+written by the CLI's own renderer, and the two ``gen`` pins before
+every generator spec came to be built by ``randctx.spec_from_cell``, so
+any change to the bytes those paths write shows up here. The bound and sweep pins that
 carry bound columns or refused rows were re-recorded when the bounds
 came to read p itself (not ``1 - (1 - p)``) and a sweep trial came to be
 refused only by its size guards, before any work. The stem base's JSON
@@ -51,6 +53,18 @@ def _gen_g20(seed: int) -> tuple[str, ...]:
 
 STEM_G20 = ("compute", "{tmp}/g20.cxt", "--base", "stem")
 
+
+def _gen_square(n: int, seed: int) -> tuple[str, ...]:
+    """An n x n context at p = 0.5 written to ``{tmp}/g<n>.cxt``."""
+    return ("gen", "--objects", str(n), "--attributes", str(n), "--p", "0.5",
+            "--seed", str(seed), "--out", f"{{tmp}}/g{n}.cxt")
+
+
+# a 30 x 30 proper-premise base has tens of thousands of implications,
+# so these pin the order and rendering of a large base
+PROPER_G30 = ("compute", "{tmp}/g30.cxt", "--base", "proper")
+BOTH_G12_JSON = ("compute", "{tmp}/g12.cxt", "--base", "both", "--format", "json")
+
 # name -> (argument lists run in order, only the last one's stdout pinned)
 RUNS = {
     "compute_text": [("compute", TOY)],
@@ -80,6 +94,10 @@ RUNS = {
     "compute_stem_g20_seed7_json": [_gen_g20(7), STEM_G20 + ("--format", "json")],
     "compute_stem_g20_seed29": [_gen_g20(29), STEM_G20],
     "compute_stem_g20_seed29_json": [_gen_g20(29), STEM_G20 + ("--format", "json")],
+    "compute_proper_g30_seed7": [_gen_square(30, 7), PROPER_G30],
+    "compute_proper_g30_seed7_json": [_gen_square(30, 7),
+                                      PROPER_G30 + ("--format", "json")],
+    "compute_both_g12_seed7_json": [_gen_square(12, 7), BOTH_G12_JSON],
     # the generated file itself: header comments and the sampled crosses
     "gen_single": [("gen", "--objects", "12", "--attributes", "9", "--p", "0.3",
                     "--seed", "31")],
@@ -109,6 +127,9 @@ EXPECTED = {
     "compute_stem_g20_seed7_json": (0, "d338eb74a9b5ba5353d4dc9c5e8c64b13d959b8857a4a6bfe5e24ad445c654a7"),
     "compute_stem_g20_seed29": (0, "92f40f8d83354fff50b7968c98eea1658d8bf9565498134cf094f385c477af49"),
     "compute_stem_g20_seed29_json": (0, "139e97877112327b3639cd6f0f3cbd57f6aabc8e13ffbc7c2e8746ebb113f74f"),
+    "compute_proper_g30_seed7": (0, "210131f4e57db0c147907e3682b0718c27b747a86b4b6a8a85311b432c22e01b"),
+    "compute_proper_g30_seed7_json": (0, "bd9b13ac327f9e3525e8712b5ef7433beecc33c2c8983208e51e88c4860c798b"),
+    "compute_both_g12_seed7_json": (0, "d2a6b040c15484ff39192ef85e029b09bc8c0ade3d04d9e08018cb8d142dc8fe"),
     "gen_single": (0, "b7954cda7784644cdff71ff2a3d0ea34760688a19b6e29f78f7f566c0cec1f47"),
     "gen_multi": (0, "5031efe953f65a159298cd17caa8b86ca73b321084e514f30f056ac27e69578b"),
 }
