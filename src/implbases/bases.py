@@ -7,18 +7,24 @@ whose edges are the complements of the rows missing `a`, with the
 trivial transversal {a} removed. One per-attribute step dualizes `a`
 and drops {a}; ``proper_premises_of`` sorts its result, and the
 generator ``premises_by_attribute`` yields it for every attribute in
-turn. The base merges the lists into a premise -> conclusion map,
+turn. The base merges the lists into a premise -> conclusion map and
 orders the premise masks once, on the member tuple that
-``sets.mask_members`` computes from each mask, and only then wraps
-them; ``Implication`` and ``ImplicationBase`` check their invariants on
-the raw masks. ``premise_counts``, the sweep's count-only consumer,
-keeps just the summed lengths and a set of the distinct premises. The
-Duquenne-Guigues (stem) base is enumerated in lectic order by one
-Next-Closure loop over the sets closed under strict application of the
-implications found so far; a candidate's closure stops at the first
-attribute that fails the lectic test. Its premises are exactly the
-pseudo-intents. ``format_implications`` computes each member tuple once
-and sorts the text lines on them.
+``sets.mask_members`` computes from each mask. ``premise_counts``, the
+sweep's count-only consumer, keeps just the summed lengths and a set of
+the distinct premises. The Duquenne-Guigues (stem) base is enumerated
+in lectic order by one Next-Closure loop over the sets closed under
+strict application of the implications found so far; a candidate's
+closure stops at the first attribute that fails the lectic test. Its
+premises are exactly the pseudo-intents.
+
+An ``ImplicationBase`` holds (premise mask, conclusion mask) pairs.
+Both bases are built by ``ImplicationBase.from_mask_pairs``, which
+checks the invariants of ``Implication`` and of the base on the masks,
+with their texts; ``Implication`` objects are made only when a caller
+iterates the base or asks for ``implications``, and the closures and
+``format_implications`` read the masks. ``format_implications``
+computes each premise's member tuple once and each distinct
+conclusion's once, and sorts the text lines on them.
 
 Both constructions have brute-force oracles used by the test suite.
 """
@@ -26,7 +32,8 @@ Both constructions have brute-force oracles used by the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import reduce
+from operator import and_, attrgetter, or_
 from typing import Iterable, Iterator, Sequence
 
 from .context import FormalContext
@@ -63,45 +70,110 @@ class Implication:
         return f"Implication({p or '∅'} -> {c})"
 
 
-@dataclass(frozen=True)
 class ImplicationBase:
-    """Ordered implication collection tagged with its construction."""
+    """Ordered implication collection tagged with its construction.
 
-    implications: tuple[Implication, ...]
-    kind: str  # "proper" or "stem"
-    n_attributes: int
+    Held as one tuple of (premise mask, conclusion mask) pairs: the
+    ``Implication`` objects of ``implications`` and of iteration are
+    made when a caller asks for them. The constructor takes
+    ``Implication``s; the bases of this module are built from their
+    masks by ``from_mask_pairs``, which checks the same invariants with
+    the same texts.
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("proper", "stem"):
-            raise ValueError(f"unknown base kind {self.kind!r}")
-        universes = set(map(attrgetter("premise.universe"), self.implications))
-        if not universes <= {self.n_attributes}:
+    __slots__ = ("_pairs", "kind", "n_attributes")
+
+    def __init__(self, implications: Iterable[Implication], kind: str,
+                 n_attributes: int) -> None:
+        implications = tuple(implications)
+        _check_kind(kind)
+        universes = set(map(attrgetter("premise.universe"), implications))
+        if not universes <= {n_attributes}:
             raise ValueError("implication universe differs from base universe")
-        if len(set(self.mask_pairs())) != len(self.implications):
+        self._init(tuple(map(attrgetter("premise.mask", "conclusion.mask"),
+                             implications)), kind, n_attributes)
+
+    @classmethod
+    def from_mask_pairs(cls, pairs: Iterable[tuple[int, int]], kind: str,
+                        n_attributes: int) -> "ImplicationBase":
+        """The base of the (premise mask, conclusion mask) pairs, in
+        order. Refuses what ``Implication`` and the constructor refuse,
+        with their texts: a mask with bits outside the universe, an
+        empty conclusion, a conclusion that meets its premise."""
+        pairs = tuple(pairs)
+        _check_kind(kind)
+        premises, conclusions = zip(*pairs) if pairs else ((), ())
+        used = reduce(or_, premises, 0) | reduce(or_, conclusions, 0)
+        if (used < 0 or used >> n_attributes or 0 in conclusions
+                or any(map(and_, premises, conclusions))):
+            for p, c in pairs:  # the first fault, as the wrappers find it
+                Implication(IndexSet.from_mask(n_attributes, p),
+                            IndexSet.from_mask(n_attributes, c))
+        base = cls.__new__(cls)
+        base._init(pairs, kind, n_attributes)
+        return base
+
+    def _init(self, pairs: tuple[tuple[int, int], ...], kind: str,
+              n_attributes: int) -> None:
+        if len(set(pairs)) != len(pairs):
             raise ValueError("duplicate implication")
+        object.__setattr__(self, "_pairs", pairs)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "n_attributes", n_attributes)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("ImplicationBase is immutable")
+
+    @property
+    def implications(self) -> tuple[Implication, ...]:
+        """The implications, made from the masks on each access."""
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.implications)
+        return len(self._pairs)
 
-    def __iter__(self):
-        return iter(self.implications)
+    def __iter__(self) -> Iterator[Implication]:
+        n = self.n_attributes
+        wrap = IndexSet.from_mask
+        for p, c in self._pairs:
+            yield Implication(wrap(n, p), wrap(n, c))
 
     def mask_pairs(self) -> list[tuple[int, int]]:
         """Each implication's (premise mask, conclusion mask), in order."""
-        return list(map(attrgetter("premise.mask", "conclusion.mask"),
-                        self.implications))
+        return list(self._pairs)
 
     @property
     def premise_count(self) -> int:
         """Distinct premises: the implication count in the bases this
         package builds, which the class itself does not enforce."""
-        return len(set(map(attrgetter("premise.mask"), self.implications)))
+        return len({p for p, _ in self._pairs})
 
     @property
     def pair_count(self) -> int:
         """Premise -> single-attribute pairs, i.e. summed conclusion sizes."""
-        return sum(map(int.bit_count,
-                       map(attrgetter("conclusion.mask"), self.implications)))
+        return sum(c.bit_count() for _, c in self._pairs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ImplicationBase):
+            return NotImplemented
+        return ((self._pairs, self.kind, self.n_attributes)
+                == (other._pairs, other.kind, other.n_attributes))
+
+    def __hash__(self) -> int:
+        return hash((self._pairs, self.kind, self.n_attributes))
+
+    def __reduce__(self):  # copy and pickle through the checked classmethod
+        return (ImplicationBase.from_mask_pairs,
+                (self._pairs, self.kind, self.n_attributes))
+
+    def __repr__(self) -> str:
+        return (f"ImplicationBase(implications={self.implications!r}, "
+                f"kind={self.kind!r}, n_attributes={self.n_attributes!r})")
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in ("proper", "stem"):
+        raise ValueError(f"unknown base kind {kind!r}")
 
 
 # -- proper premises ----------------------------------------------------------
@@ -215,13 +287,19 @@ def proper_premise_base(ctx: FormalContext) -> ImplicationBase:
         abit = 1 << a
         for p in masks:
             merged[p] = merged.get(p, 0) | abit
-    # ordered once, on the masks' member tuples, and only then wrapped
-    return ImplicationBase(tuple(
-        Implication(IndexSet.from_mask(n, p), IndexSet.from_mask(n, merged[p]))
-        for p in sorted(merged, key=mask_members)), "proper", n)
+    premises = sorted(merged, key=mask_members)
+    return ImplicationBase.from_mask_pairs(
+        zip(premises, map(merged.__getitem__, premises)), "proper", n)
 
 
 # -- implication-set closure ---------------------------------------------------
+
+
+def _mask_pairs(base: ImplicationBase | Iterable[Implication]
+                ) -> list[tuple[int, int]]:
+    if isinstance(base, ImplicationBase):
+        return base.mask_pairs()
+    return [(imp.premise.mask, imp.conclusion.mask) for imp in base]
 
 
 def close_once(base: ImplicationBase | Iterable[Implication],
@@ -230,10 +308,9 @@ def close_once(base: ImplicationBase | Iterable[Implication],
     whose premise lies inside x."""
     mask = x.mask
     out = mask
-    for imp in base:
-        p = imp.premise.mask
+    for p, c in _mask_pairs(base):
         if p & ~mask == 0:
-            out |= imp.conclusion.mask
+            out |= c
     return IndexSet.from_mask(x.universe, out)
 
 
@@ -244,7 +321,7 @@ def close_fixpoint(base: ImplicationBase | Iterable[Implication],
     Each productive round adds at least one attribute, so at most
     |universe| rounds run.
     """
-    imps = [(imp.premise.mask, imp.conclusion.mask) for imp in base]
+    imps = _mask_pairs(base)
     mask = x.mask
     changed = True
     while changed:
@@ -301,9 +378,8 @@ def stem_base(ctx: FormalContext) -> ImplicationBase:
             if not mask & forbidden:
                 current = mask
                 break
-    return ImplicationBase(tuple(
-        Implication(IndexSet.from_mask(n, p), IndexSet.from_mask(n, c & ~p))
-        for p, c in found), "stem", n)
+    return ImplicationBase.from_mask_pairs(
+        [(p, c & ~p) for p, c in found], "stem", n)
 
 
 def _closure_mask(ctx: FormalContext, attrs_mask: int) -> int:
@@ -356,12 +432,22 @@ def format_implications(base: ImplicationBase,
     """Stable text form: one implication per line, members sorted by
     attribute index, lines sorted by (premise, conclusion) index tuples.
     An empty premise renders as a line starting with '->'.
+
+    Each premise's member tuple is computed once, and each distinct
+    conclusion's member tuple and text once: conclusions repeat, premises
+    seldom do.
     """
+    pairs = base.mask_pairs()
+    if not pairs:
+        return ""
     name = attribute_names.__getitem__
+    premises, conclusions = zip(*pairs)
+    members = {c: mask_members(c) for c in set(conclusions)}
+    texts = {c: " ".join(map(name, m)) for c, m in members.items()}
     lines = []
-    for premise, conclusion in sorted(
-            (mask_members(p), mask_members(c)) for p, c in base.mask_pairs()):
+    for premise, _, c in sorted(zip(map(mask_members, premises),
+                                    map(members.__getitem__, conclusions),
+                                    conclusions)):
         lhs = " ".join(map(name, premise))
-        rhs = " ".join(map(name, conclusion))
-        lines.append(f"{lhs} -> {rhs}" if lhs else f"-> {rhs}")
-    return "\n".join(lines) + ("\n" if lines else "")
+        lines.append(f"{lhs} -> {texts[c]}" if lhs else f"-> {texts[c]}")
+    return "\n".join(lines) + "\n"

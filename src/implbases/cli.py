@@ -3,10 +3,11 @@ evaluate bounds, run sweeps, fit constants.
 
 All output is deterministic for fixed flags (wall-clock columns are
 opt-in), so identical invocations produce identical bytes. The JSON of
-``compute`` is written by one renderer, ``_bases_json``, straight from
-the bases' masks: its bytes equal ``json.dumps(payload, indent=2,
-sort_keys=True)`` of the payload it describes, whose pure-Python
-indenting encoder would cost several times more on a large base.
+``compute`` is written by one renderer, ``_write_bases_json``, straight
+from the bases' masks and in pieces: its bytes equal
+``json.dumps(payload, indent=2, sort_keys=True)`` of the payload it
+describes, whose pure-Python indenting encoder would cost several times
+more on a large base.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ def cmd_compute(args) -> int:
         base = proper_premise_base(ctx) if kind == "proper" else stem_base(ctx)
         results[kind] = base
     if args.format == "json":
-        sys.stdout.write(_bases_json(ctx, results))
+        _write_bases_json(sys.stdout, ctx, results)
         return 0
     for kind, base in results.items():
         if len(results) > 1:
@@ -189,14 +190,21 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def _bases_json(ctx, results: dict) -> str:
-    """``compute --format json``: exactly the bytes that
-    ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` writes for
-    the payload ``{"objects", "attributes", "bases": {kind: {
+# implications per piece of ``compute --format json``: a few hundred
+# kilobytes, few enough writes that their overhead does not show
+_JSON_PIECE = 1024
+
+
+def _write_bases_json(out, ctx, results: dict) -> None:
+    """``compute --format json``: writes to ``out`` exactly the bytes
+    that ``json.dumps(payload, indent=2, sort_keys=True) + "\\n"`` gives
+    for the payload ``{"objects", "attributes", "bases": {kind: {
     "implications": [{"premise": [names], "conclusion": [names]}, ...],
     "implication_count", "premise_count", "pair_count"}}}``, without
     building it: each attribute name is encoded once by ``json.dumps``,
-    and the implications keep their base order."""
+    each distinct conclusion is rendered once, and the implications are
+    written ``_JSON_PIECE`` at a time, in their base order, so that no
+    copy of the whole text is ever held."""
     member = [f"\n            {json.dumps(name)}" for name in ctx.attribute_names]
 
     def name_list(mask: int) -> str:  # at an implication's member depth
@@ -204,20 +212,24 @@ def _bases_json(ctx, results: dict) -> str:
             return "[]"
         return f"[{','.join([member[a] for a in mask_members(mask)])}\n          ]"
 
-    kinds = []
-    for kind, base in sorted(results.items()):
-        imps = ",".join([
-            f'\n        {{\n          "conclusion": {name_list(c)},'
-            f'\n          "premise": {name_list(p)}\n        }}'
-            for p, c in base.mask_pairs()])
-        imps = f"[{imps}\n      ]" if imps else "[]"
-        kinds.append(
-            f'\n    "{kind}": {{\n      "implication_count": {len(base)},'
-            f'\n      "implications": {imps},'
-            f'\n      "pair_count": {base.pair_count},'
-            f'\n      "premise_count": {base.premise_count}\n    }}')
-    return (f'{{\n  "attributes": {ctx.n_attributes},\n  "bases": {{'
-            f'{",".join(kinds)}\n  }},\n  "objects": {ctx.n_objects}\n}}\n')
+    out.write(f'{{\n  "attributes": {ctx.n_attributes},\n  "bases": {{')
+    for i, (kind, base) in enumerate(sorted(results.items())):
+        pairs = base.mask_pairs()
+        out.write(f'{"," if i else ""}\n    "{kind}": {{'
+                  f'\n      "implication_count": {len(base)},'
+                  f'\n      "implications": {"[" if pairs else "[]"}')
+        if pairs:
+            conclusions = {c: name_list(c) for c in {c for _, c in pairs}}
+            out.writelines(
+                ("," if start else "") + ",".join([
+                    f'\n        {{\n          "conclusion": {conclusions[c]},'
+                    f'\n          "premise": {name_list(p)}\n        }}'
+                    for p, c in pairs[start:start + _JSON_PIECE]])
+                for start in range(0, len(pairs), _JSON_PIECE))
+            out.write("\n      ]")
+        out.write(f',\n      "pair_count": {base.pair_count},'
+                  f'\n      "premise_count": {base.premise_count}\n    }}')
+    out.write(f'\n  }},\n  "objects": {ctx.n_objects}\n}}\n')
 
 
 def cmd_gen(args) -> int:

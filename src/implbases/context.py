@@ -78,16 +78,28 @@ class FormalContext:
                              object_names, attribute_names)
         return ctx
 
+    @classmethod
+    def _from_checked_masks(cls, n_objects: int, n_attributes: int,
+                            rows: Sequence[int],
+                            cols: Sequence[int]) -> "FormalContext":
+        """The context whose row and column masks are given, both, and
+        in range: nothing is checked or rebuilt. For the random sampler,
+        which reads both views off one matrix."""
+        ctx = cls.__new__(cls)
+        ctx._init_from_masks(n_objects, n_attributes, rows, None, None, cols)
+        return ctx
+
     def _init_from_masks(self, n_objects, n_attributes, rows,
-                         object_names, attribute_names) -> None:
-        cols = [0] * n_attributes
-        for o, mask in enumerate(rows):
-            obit = 1 << o
-            m = mask
-            while m:
-                low = m & -m
-                cols[low.bit_length() - 1] |= obit
-                m ^= low
+                         object_names, attribute_names, cols=None) -> None:
+        if cols is None:
+            cols = [0] * n_attributes
+            for o, mask in enumerate(rows):
+                obit = 1 << o
+                m = mask
+                while m:
+                    low = m & -m
+                    cols[low.bit_length() - 1] |= obit
+                    m ^= low
         if object_names is None:
             object_names = _default_names("o", n_objects)
         if attribute_names is None:

@@ -12,11 +12,15 @@ Randomness: PCG64, one substream per column derived as
 output independent of evaluation order and let both models share one
 stream-derivation rule, so a multi spec with no U and no R produces the
 same context, bit for bit, as the single model at ``p = f_prob``.
+The draws of all columns fill one attribute x object matrix, compared
+once against the column probabilities; the context's row and column
+masks are both packed from it.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,16 +108,43 @@ def effective_probabilities(spec: MultiParamSpec) -> list[float]:
     return probs
 
 
+def check_sample_size(n_objects: int) -> None:
+    """Refuses an object count that no sample can index (above
+    ``sys.maxsize``), which a spec accepts for the bounds. The one
+    check and text of that refusal; the sampler asks it, and so does a
+    sweep for each cell before any trial runs."""
+    if n_objects > sys.maxsize:
+        raise ValueError("n_objects is too large to sample")
+
+
+def _packed_masks(crosses: np.ndarray) -> list[int]:
+    """Each row of a boolean matrix as an int mask, column j at bit j."""
+    packed = np.packbits(crosses, axis=1, bitorder="little")
+    width = packed.shape[1]
+    if not width:
+        return [0] * len(packed)
+    data = packed.tobytes()
+    return [int.from_bytes(data[i:i + width], "little")
+            for i in range(0, len(data), width)]
+
+
 def _sample_columns(n_objects: int, n_attributes: int,
                     probs: list[float], seed: int) -> FormalContext:
-    rows = [0] * n_objects
+    """Column `a` is drawn from its own stream, seeded by
+    ``SeedSequence(seed, spawn_key=(a,))``: object `o` has `a` when
+    draw `o` is below ``probs[a]``. The draws fill one attribute x
+    object matrix, compared once against the probabilities; the column
+    and row masks are its rows and its columns, packed."""
+    check_sample_size(n_objects)
+    draws = np.empty((n_attributes, n_objects))
     for a in range(n_attributes):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(a,))))
-        draws = rng.random(n_objects)
-        for o in np.flatnonzero(draws < probs[a]):
-            rows[o] |= 1 << a
-    return FormalContext.from_row_masks(n_objects, n_attributes, rows)
+        np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(seed, spawn_key=(a,)))).random(
+                n_objects, out=draws[a])
+    crosses = draws < np.array(probs, dtype=float).reshape(-1, 1)
+    return FormalContext._from_checked_masks(
+        n_objects, n_attributes, _packed_masks(crosses.T),
+        _packed_masks(crosses))
 
 
 def spec_from_cell(cell: dict,

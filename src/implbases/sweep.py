@@ -48,8 +48,8 @@ import numpy as np
 from .bases import premise_counts, stem_base
 from .bounds import (_avg_terms, _log_terms, base_size_log10, bound_defined,
                      check_finite, context_exponents)
-from .randctx import (effective_probabilities, gen_multi, gen_single,
-                      spec_from_cell)
+from .randctx import (check_sample_size, effective_probabilities, gen_multi,
+                      gen_single, spec_from_cell)
 
 CSV_SCHEMA = 1
 CSV_COLUMNS = [
@@ -164,9 +164,11 @@ def _cell_bounds(spec: SweepSpec, cell: dict) -> tuple[float | None, ...]:
     """A cell's (avg_exponent, lower_exponent, total_log10), all None
     unless the cell is the single model at one p (all column
     probabilities equal) where ``bound_defined``. Raises ``ValueError``
-    where the model (seed included) or the bound refuses the cell."""
+    where the model (seed and a count too large to sample included) or
+    the bound refuses the cell."""
     model_spec = spec_from_cell(cell, spec.base_seed)
     n, m = cell["attributes"], cell["objects"]
+    check_sample_size(m)
     probs = ({model_spec.p} if cell["model"] == "single"
              else set(effective_probabilities(model_spec)))
     p = probs.pop() if len(probs) == 1 else None

@@ -302,3 +302,78 @@ def test_dualize_attribute_matches_attribute_hypergraph(toy_context):
         dualize_attribute(rows, 5, 5)
     with pytest.raises(ValueError):
         dualize_attribute(rows, 5, -1)
+
+
+# -- the mask-pair base ----------------------------------------------------------
+
+
+def _from_implications(pairs, kind, n):
+    return ImplicationBase(
+        [Implication(IndexSet.from_mask(n, p), IndexSet.from_mask(n, c))
+         for p, c in pairs], kind, n)
+
+
+@pytest.mark.parametrize("pairs, kind, message", [
+    ([(0b1000, 0b1)], "proper", "mask 0x8 has bits outside universe 3"),
+    ([(0b1, 0b10000)], "proper", "mask 0x10 has bits outside universe 3"),
+    ([(-1, 0b10)], "proper", "mask -0x1 has bits outside universe 3"),
+    ([(0b1, -0b10)], "stem", "mask -0x2 has bits outside universe 3"),
+    ([(0b1, 0)], "proper", "conclusion must be nonempty"),
+    ([(0b11, 0b10)], "stem", "conclusion must exclude premise members"),
+    ([(0b1, 0b10), (0b10, 0b1), (0b1, 0b10)], "proper", "duplicate implication"),
+    ([(0b1, 0b10)], "direct", "unknown base kind 'direct'"),
+    # the first fault in base order decides
+    ([(0b1, 0b10), (0b1, 0b1), (0b10, 0)], "proper",
+     "conclusion must exclude premise members"),
+    ([(0b1, 0b10), (0b10, 0), (0b1, 0b1000)], "proper",
+     "conclusion must be nonempty"),
+    ([(0b1, 0b10), (0b1000, 0b1), (0b10, 0)], "proper",
+     "mask 0x8 has bits outside universe 3"),
+])
+def test_both_constructors_refuse_with_one_text(pairs, kind, message):
+    for build in (_from_implications, ImplicationBase.from_mask_pairs):
+        with pytest.raises(ValueError) as err:
+            build(pairs, kind, 3)
+        assert str(err.value) == message, build
+
+
+def test_constructor_refuses_an_implication_of_another_universe():
+    with pytest.raises(ValueError, match="^implication universe differs "
+                                         "from base universe$"):
+        ImplicationBase((imp(4, [0], [1]),), "proper", 3)
+
+
+def test_implications_round_trip_to_mask_pairs(toy_context):
+    for ctx in [toy_context] + random_contexts(20, base_seed=12):
+        for base in (proper_premise_base(ctx), stem_base(ctx)):
+            imps = base.implications
+            assert all(isinstance(i, Implication) for i in imps)
+            assert list(base) == list(imps)
+            assert [(i.premise.mask, i.conclusion.mask)
+                    for i in imps] == base.mask_pairs()
+            assert {i.premise.universe for i in imps} <= {ctx.n_attributes}
+            rebuilt = ImplicationBase(imps, base.kind, ctx.n_attributes)
+            assert rebuilt == base and hash(rebuilt) == hash(base)
+
+
+def test_bases_from_implications_and_from_pairs_are_equal():
+    pairs = [(0b011, 0b100), (0, 0b001), (0b100, 0b010)]
+    from_pairs = ImplicationBase.from_mask_pairs(pairs, "stem", 3)
+    from_imps = _from_implications(pairs, "stem", 3)
+    assert from_pairs == from_imps and hash(from_pairs) == hash(from_imps)
+    assert from_pairs.mask_pairs() == pairs
+    assert (len(from_pairs), from_pairs.premise_count,
+            from_pairs.pair_count) == (3, 3, 3)
+    # kind, universe and order are part of the value
+    assert from_pairs != ImplicationBase.from_mask_pairs(pairs, "proper", 3)
+    assert from_pairs != ImplicationBase.from_mask_pairs(pairs, "stem", 4)
+    assert from_pairs != ImplicationBase.from_mask_pairs(pairs[::-1], "stem", 3)
+    with pytest.raises(AttributeError):
+        from_pairs.kind = "proper"
+
+
+def test_empty_base_counts():
+    for base in (ImplicationBase((), "proper", 3),
+                 ImplicationBase.from_mask_pairs((), "stem", 0)):
+        assert (len(base), base.premise_count, base.pair_count) == (0, 0, 0)
+        assert base.implications == () and base.mask_pairs() == []

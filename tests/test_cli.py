@@ -644,3 +644,35 @@ def test_compute_json_is_the_json_module_rendering(context, base, tmp_path):
     if context == "contranominal":
         assert all(payload["bases"][kind]["implications"] == []
                    for kind in kinds)
+
+
+INDEX_OVERFLOW_COUNT = "1" + "0" * 300  # a float holds it, an index does not
+
+
+@pytest.mark.parametrize("args", [
+    ("gen", "--objects", INDEX_OVERFLOW_COUNT, "--attributes", "3"),
+    ("gen", "--objects", str(sys.maxsize + 1), "--attributes", "0"),
+    ("gen", "--model", "multi", "--objects", INDEX_OVERFLOW_COUNT,
+     "--attributes", "5", "--u-size", "2"),
+    ("sweep", "--objects", INDEX_OVERFLOW_COUNT, "--attributes", "3"),
+    ("sweep", "--objects", f"10,{sys.maxsize + 1}", "--attributes", "3"),
+    ("sweep", "--model", "multi", "--objects", INDEX_OVERFLOW_COUNT,
+     "--attributes", "5", "--u-size", "2"),
+])
+def test_object_count_too_large_to_sample_refused(args, tmp_path):
+    """A count above sys.maxsize is refused with one line, before any
+    column is sampled and before ``--out`` is opened; the bounds, which
+    only compute with it, still take it."""
+    out = tmp_path / "out"
+    proc = run_cli(*args, "--out", str(out), expect_code=2)
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == "error: n_objects is too large to sample\n"
+    assert not out.exists()
+
+
+def test_bounds_take_an_object_count_too_large_to_sample():
+    proc = run_cli("bounds", "--attributes", "10", "--objects",
+                   INDEX_OVERFLOW_COUNT, "--p", "0.5", "--u-size", "2",
+                   "--r-size", "3")
+    assert proc.stderr == b""
+    assert b"regime = quasi-polynomial\n" in proc.stdout

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from implbases import (MultiParamSpec, SingleParamSpec, effective_probabilities,
@@ -142,3 +143,41 @@ def test_keyvalue_missing_key_names_it():
     with pytest.raises(ValueError, match="'x'"):
         spec_from_keyvalues("model=multi\nobjects=3\nattributes=4\n"
                             "u_size=0\nr_size=0\nf_prob=0.5\nseed=0\n")
+
+
+def _per_column_masks(n_objects, n_attributes, probs, seed):
+    """The sampler's rule, one column at a time: object o has attribute
+    a when draw o of a's own stream is below probs[a]."""
+    rows = [0] * n_objects
+    cols = [0] * n_attributes
+    for a in range(n_attributes):
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(a,))))
+        for o in np.flatnonzero(rng.random(n_objects) < probs[a]):
+            rows[o] |= 1 << a
+            cols[a] |= 1 << int(o)
+    return tuple(rows), tuple(cols)
+
+
+@pytest.mark.parametrize("objects, attributes, p", [
+    (0, 0, 0.5), (0, 7, 0.5), (9, 0, 0.5),
+    (17, 63, 0.5), (17, 64, 0.3), (17, 65, 0.7), (70, 65, 0.5),
+    (12, 9, 0.0), (12, 9, 1.0),
+])
+def test_sampler_matches_per_column_streams(objects, attributes, p):
+    seed = 2 ** 90 + 12345
+    ctx = gen_single(SingleParamSpec(objects, attributes, p, seed=seed))
+    assert (ctx.row_masks, ctx.column_masks) == _per_column_masks(
+        objects, attributes, [p] * attributes, seed)
+
+
+@pytest.mark.parametrize("spec", [
+    MultiParamSpec(30, 30, u_size=26, r_size=4, x=2.0, f_prob=0.5,
+                   seed=20250801),
+    MultiParamSpec(13, 11, u_size=3, r_size=4, x=1.5, f_prob=0.2, seed=3),
+])
+def test_multi_sampler_matches_per_column_streams(spec):
+    ctx = gen_multi(spec)
+    assert (ctx.row_masks, ctx.column_masks) == _per_column_masks(
+        spec.n_objects, spec.n_attributes, effective_probabilities(spec),
+        spec.seed)
