@@ -8,14 +8,14 @@ trivial transversal {a} removed. One per-attribute step dualizes `a`
 and drops {a}; ``proper_premises_of`` sorts its result, and the
 generator ``premises_by_attribute`` yields it for every attribute in
 turn. The base merges the lists into a premise -> conclusion map and
-orders the premise masks once, on the member tuple that
-``sets.mask_members`` computes from each mask. ``premise_counts``, the
-sweep's count-only consumer, keeps just the summed lengths and a set of
-the distinct premises. The Duquenne-Guigues (stem) base is enumerated
-in lectic order by one Next-Closure loop over the sets closed under
-strict application of the implications found so far; a candidate's
-closure stops at the first attribute that fails the lectic test. Its
-premises are exactly the pseudo-intents.
+orders the premise masks once, on ``sets.mask_order_key``, a string
+that orders masks as their member tuples do without building them.
+``premise_counts``, the sweep's count-only consumer, keeps just the
+summed lengths and a set of the distinct premises. The Duquenne-Guigues
+(stem) base is enumerated in lectic order by one Next-Closure loop over
+the sets closed under strict application of the implications found so
+far; a candidate's closure stops at the first attribute that fails the
+lectic test. Its premises are exactly the pseudo-intents.
 
 An ``ImplicationBase`` holds (premise mask, conclusion mask) pairs.
 Both bases are built by ``ImplicationBase.from_mask_pairs``, which
@@ -38,7 +38,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .context import FormalContext
 from .hypergraph import Hypergraph, _scan_subsets, _transversal_masks
-from .sets import AttributeSet, IndexSet, mask_members, sorted_sets
+from .sets import (AttributeSet, IndexSet, mask_members, mask_order_key,
+                   sorted_sets)
 
 BRUTE_FORCE_PREMISE_LIMIT = 15
 BRUTE_FORCE_PSEUDO_INTENT_LIMIT = 12
@@ -287,7 +288,7 @@ def proper_premise_base(ctx: FormalContext) -> ImplicationBase:
         abit = 1 << a
         for p in masks:
             merged[p] = merged.get(p, 0) | abit
-    premises = sorted(merged, key=mask_members)
+    premises = sorted(merged, key=mask_order_key)
     return ImplicationBase.from_mask_pairs(
         zip(premises, map(merged.__getitem__, premises)), "proper", n)
 

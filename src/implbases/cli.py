@@ -105,9 +105,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--c", type=float, default=1.0)
     p_sweep.add_argument("--c2", type=float, default=0.0)
     p_sweep.add_argument("--workers", type=int, default=1,
-                         help="run the trials in N forked processes; results "
-                              "stay in (cell, trial) order, so the output "
-                              "bytes do not depend on N")
+                         help="run the trials in N processes, this one and "
+                              "N-1 forked children; results stay in (cell, "
+                              "trial) order, so the output bytes do not "
+                              "depend on N")
     p_sweep.add_argument("--timings", action="store_true",
                          help="include wall-clock columns (breaks byte determinism)")
     p_sweep.add_argument("--max-proper-attrs", type=int,

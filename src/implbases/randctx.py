@@ -108,12 +108,14 @@ def effective_probabilities(spec: MultiParamSpec) -> list[float]:
     return probs
 
 
-def check_sample_size(n_objects: int) -> None:
-    """Refuses an object count that no sample can index (above
-    ``sys.maxsize``), which a spec accepts for the bounds. The one
-    check and text of that refusal; the sampler asks it, and so does a
-    sweep for each cell before any trial runs."""
-    if n_objects > sys.maxsize:
+def check_sample_size(n_objects: int, n_attributes: int) -> None:
+    """Refuses an object count that no sample can index, which a spec
+    accepts for the bounds: one whose attribute x object matrix of
+    8-byte draws, or list of row masks, has more bytes than an index
+    reaches. The one check and text of that refusal; the sampler asks
+    it, and so does a sweep for each cell before any trial runs. A count
+    that can be indexed but not held in memory is not refused here."""
+    if n_objects * max(n_attributes, 1) > sys.maxsize // 8:
         raise ValueError("n_objects is too large to sample")
 
 
@@ -135,7 +137,7 @@ def _sample_columns(n_objects: int, n_attributes: int,
     draw `o` is below ``probs[a]``. The draws fill one attribute x
     object matrix, compared once against the probabilities; the column
     and row masks are its rows and its columns, packed."""
-    check_sample_size(n_objects)
+    check_sample_size(n_objects, n_attributes)
     draws = np.empty((n_attributes, n_objects))
     for a in range(n_attributes):
         np.random.Generator(np.random.PCG64(

@@ -152,6 +152,18 @@ def mask_members(mask: int) -> tuple[int, ...]:
     return tuple(members)
 
 
+_SWAP_DIGITS = str.maketrans("10", "01")
+
+
+def mask_order_key(mask: int) -> str:
+    """A key that orders masks as their member tuples (`mask_members`)
+    do, without building a tuple: the binary digits of `mask` from bit 0
+    up, each one swapped, so that a member at the first index where two
+    sets differ sorts first, and a set that stops there sorts before any
+    set that goes on; the empty set is ''."""
+    return bin(mask)[:1:-1].translate(_SWAP_DIGITS) if mask else ""
+
+
 def sort_key(s: IndexSet) -> tuple[int, ...]:
     """Lexicographic-by-members order used for all deterministic output."""
     return mask_members(s.mask)
@@ -163,4 +175,4 @@ def sorted_sets(universe: int, masks: Iterable[int]) -> list[IndexSet]:
     return families in no fixed order; their callers sort here, at the
     API boundary."""
     return [IndexSet.from_mask(universe, m)
-            for m in sorted(masks, key=mask_members)]
+            for m in sorted(masks, key=mask_order_key)]

@@ -2,7 +2,8 @@
 
 A sweep enumerates a parameter grid, runs seeded trials per cell, and
 emits one CSV row per trial plus per-cell mean footer rows. With N > 1
-workers the trials run in N forked processes; the records still come
+workers the trials run in N processes, this one and N - 1 children it
+forks, which send their records back over pipes; the records still come
 back in (cell, trial) order, so the output bytes do not depend on N.
 Trial seeds derive from the cell's parameters (not its position), so
 editing the grid never changes the data of cells that stay in it.
@@ -38,10 +39,13 @@ import csv
 import hashlib
 import io
 import math
+import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass, field, replace
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NoReturn, Sequence
 
 import numpy as np
 
@@ -168,7 +172,7 @@ def _cell_bounds(spec: SweepSpec, cell: dict) -> tuple[float | None, ...]:
     the bound refuses the cell."""
     model_spec = spec_from_cell(cell, spec.base_seed)
     n, m = cell["attributes"], cell["objects"]
-    check_sample_size(m)
+    check_sample_size(m, n)
     probs = ({model_spec.p} if cell["model"] == "single"
              else set(effective_probabilities(model_spec)))
     p = probs.pop() if len(probs) == 1 else None
@@ -211,13 +215,6 @@ def run_trial(spec: SweepSpec, cell_index: int, cell_params: dict,
     return rec
 
 
-def _run_job(spec: SweepSpec, job: tuple[int, dict, int]) -> TrialRecord:
-    """One pooled trial. The pool pickles this function by name and the
-    child looks ``run_trial`` up itself, so a wrapped ``run_trial`` need
-    not be picklable."""
-    return run_trial(spec, *job)
-
-
 def check_workers(workers: int) -> None:
     """Refuses a worker count below one: the one check and text of that
     refusal, which the CLI asks before it opens ``--out``."""
@@ -228,34 +225,107 @@ def check_workers(workers: int) -> None:
 def run_sweep(spec: SweepSpec, workers: int = 1) -> list[TrialRecord]:
     """All trial records, ordered by (cell index, trial index).
 
-    With ``workers`` > 1 and more than one trial, the trials run in
-    ``workers`` forked processes (no more than there are trials), and the
-    records come back in (cell, trial) order, so they do not depend on
-    ``workers``. An
-    exception inside a trial is re-raised here with its type, and every
-    child has exited before this returns or raises. With one worker, one
-    trial, or no fork start method, the trials run one after another in
-    this process.
+    With ``workers`` = N > 1 and more than one trial, this process runs
+    every N-th trial from the first, and N - 1 forked children run the
+    rest, every N-th from the second, third, ... trial (N is cut to the
+    trial count). The records come back in (cell, trial) order, so they
+    do not depend on ``workers``. An exception inside a trial is
+    re-raised here with its type and text, and every child has exited
+    before this returns or raises. With one worker, one trial, or no
+    ``os.fork``, the trials run one after another in this process.
     """
     check_workers(workers)
     jobs = [(ci, params, t) for ci, params in enumerate(spec.cells())
             for t in range(spec.trials)]
-    if workers > 1 and len(jobs) > 1:
-        # imported here so that importing the CLI does not pay for them
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        if "fork" in multiprocessing.get_all_start_methods():
-            # fork by name: forkserver and spawn (the default on some
-            # platforms and Python versions) cost 20-30x more per pool.
-            # The pool forks its children before it starts its own
-            # threads, and the BLAS threads numpy starts stop themselves
-            # at fork: unless the caller runs threads of its own, no
-            # other thread runs while it forks.
-            with ProcessPoolExecutor(
-                    min(workers, len(jobs)),
-                    mp_context=multiprocessing.get_context("fork")) as pool:
-                return list(pool.map(_run_job, [spec] * len(jobs), jobs))
+    workers = min(workers, len(jobs))
+    if workers > 1 and hasattr(os, "fork"):
+        # run_trial is looked up per call, so a wrapped run_trial serves
+        # this process's share as well as the children's
+        return _fork_map(lambda job: run_trial(spec, *job), jobs, workers)
     return [run_trial(spec, *job) for job in jobs]
+
+
+def _fork_map(fn: Callable, items: list, workers: int) -> list:
+    """``[fn(item) for item in items]``, computed by this process
+    (``items[0::workers]``) and ``workers - 1`` forked children (child k
+    runs ``items[k::workers]``), each of which sends its results back
+    pickled over a pipe of its own. Fork, not spawn: the children inherit
+    ``fn`` unpickled, and a spawned process costs 20-30x more, a large
+    share of a short sweep. The BLAS threads numpy starts stop themselves
+    at fork, so unless the caller runs threads of its own, no other
+    thread runs while this forks. Every read end is closed, and every
+    child reaped (killed first unless all results came back), before
+    this returns or raises."""
+    children: list[tuple[int, int]] = []  # (pid, read end), in share order
+    payloads: list[bytes] = []
+    try:
+        for k in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _child_share(fn, items[k::workers], read_fd, write_fd)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        shares = [[fn(item) for item in items[::workers]]]
+        for _, read_fd in children:
+            with open(read_fd, "rb", closefd=False) as pipe:
+                payloads.append(pipe.read())  # to EOF: the child has exited
+    finally:
+        statuses = []  # exit codes; minus the signal number if killed
+        for pid, read_fd in children:
+            os.close(read_fd)
+            if len(payloads) < len(children):  # raising: stop the rest
+                os.kill(pid, signal.SIGKILL)
+            statuses.append(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+    for (pid, _), status, payload in zip(children, statuses, payloads):
+        if status != 0 or not payload:
+            raise RuntimeError(f"sweep worker process {pid} ended with exit "
+                               f"status {status} and sent no result")
+        ok, value, child_traceback = pickle.loads(payload)
+        if not ok:
+            raise value from RuntimeError(
+                f"in sweep worker process {pid}:\n{child_traceback}")
+        shares.append(value)
+    results = [None] * len(items)
+    for k, share in enumerate(shares):
+        results[k::workers] = share
+    return results
+
+
+def _child_share(fn: Callable, share: list, read_fd: int,
+                 write_fd: int) -> NoReturn:
+    """A forked child's whole life: sends ``(True, results, None)``, or
+    ``(False, exception, traceback text)`` for an ``Exception`` the share
+    raised, pickled to ``write_fd``, then ends in ``os._exit``, whatever
+    is raised, so that it never unwinds into the caller's stack or runs
+    its exit handlers; on anything else (``SystemExit``,
+    ``KeyboardInterrupt``) it sends nothing and exits with status 1. An
+    exception that does not survive pickling is sent as a
+    ``RuntimeError`` with its type name and text."""
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            payload = pickle.dumps((True, [fn(item) for item in share], None))
+        except Exception as exc:
+            import traceback
+            child_traceback = traceback.format_exc()
+            try:
+                payload = pickle.dumps((False, exc, child_traceback))
+                pickle.loads(payload)
+            except Exception:
+                payload = pickle.dumps((False, RuntimeError(
+                    f"{type(exc).__name__}: {exc}"), child_traceback))
+        with open(write_fd, "wb") as fh:
+            fh.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 # -- CSV rendering -------------------------------------------------------------

@@ -431,14 +431,20 @@ def test_sweep_workers_below_one_refused_before_out_and_trials(workers, tmp_path
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    """The pool's modules are imported only when a sweep uses one, so
-    they never add to the CLI's start-up time."""
-    code = ("import sys, implbases.cli; "
-            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') "
-            "if m in sys.modules))")
+    """Neither importing the CLI nor a sweep on several workers loads
+    the standard library's process pools: the sweep forks its own."""
+    code = ("import sys, implbases.cli\n"
+            "from implbases import SweepSpec, run_sweep\n"
+            "def pools():\n"
+            "    print(sorted(m for m in ('multiprocessing', "
+            "'concurrent.futures') if m in sys.modules))\n"
+            "pools()\n"
+            "run_sweep(SweepSpec(model='single', objects=(5,), "
+            "attributes=(5,), trials=3), workers=2)\n"
+            "pools()\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, check=True)
-    assert proc.stdout == "[]\n"
+    assert proc.stdout == "[]\n[]\n"
 
 
 @pytest.mark.parametrize("args, message", [
@@ -663,6 +669,28 @@ def test_object_count_too_large_to_sample_refused(args, tmp_path):
     """A count above sys.maxsize is refused with one line, before any
     column is sampled and before ``--out`` is opened; the bounds, which
     only compute with it, still take it."""
+    out = tmp_path / "out"
+    proc = run_cli(*args, "--out", str(out), expect_code=2)
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == "error: n_objects is too large to sample\n"
+    assert not out.exists()
+
+
+# at most sys.maxsize, but 3 attributes x 8 bytes per object are more
+UNINDEXABLE_SAMPLE = "1000000000000000000"
+
+
+@pytest.mark.parametrize("args", [
+    ("gen", "--objects", UNINDEXABLE_SAMPLE, "--attributes", "3"),
+    ("gen", "--model", "multi", "--objects", UNINDEXABLE_SAMPLE,
+     "--attributes", "5", "--u-size", "2"),
+    ("sweep", "--objects", UNINDEXABLE_SAMPLE, "--attributes", "3"),
+    ("sweep", "--objects", f"10,{UNINDEXABLE_SAMPLE}", "--attributes", "3"),
+])
+def test_sample_too_large_to_index_refused(args, tmp_path):
+    """A count in an index's range whose attribute x object matrix is
+    not is refused with the same one line, before numpy is asked for
+    the matrix and before ``--out`` is opened."""
     out = tmp_path / "out"
     proc = run_cli(*args, "--out", str(out), expect_code=2)
     assert proc.stdout == b""

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from implbases import IndexSet
+from implbases.sets import mask_members, mask_order_key
 
 
 def members(universe):
@@ -92,3 +93,19 @@ def test_sort_key_is_lexicographic_by_members():
     a13 = IndexSet(3, [0, 2])
     a2 = IndexSet(3, [1])
     assert sorted([a2, a13], key=lambda s: s.members) == [a13, a2]
+
+
+# the empty set, small masks, and masks of 63, 64 and 65 bits
+EDGE_MASKS = [0, 63, 64, 65, (1 << 63) - 1, 1 << 63, (1 << 64) - 1, 1 << 64,
+              (1 << 65) - 1, 1 << 65]
+
+
+@given(st.lists(st.integers(min_value=1, max_value=130).flatmap(
+    lambda bits: st.integers(min_value=0, max_value=(1 << bits) - 1)),
+    max_size=30))
+def test_mask_order_key_orders_masks_as_their_member_tuples(masks):
+    masks = masks + EDGE_MASKS
+    assert (sorted(masks, key=mask_order_key)
+            == sorted(masks, key=mask_members))
+    distinct = set(masks)  # one key per set, so no two sets tie
+    assert len(set(map(mask_order_key, distinct))) == len(distinct)

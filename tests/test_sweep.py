@@ -1,7 +1,7 @@
 import dataclasses
 import math
-import multiprocessing
 import os
+import sys
 import warnings
 
 import pytest
@@ -391,53 +391,172 @@ def test_spec_from_cell_matches_hand_built_specs():
             for s in (0, 5)] == hand
 
 
-# 2 x 2 cells x 2 trials: 8 jobs for a pool of 2
+# 2 x 2 cells x 2 trials: 8 jobs
 POOL_GRID = dict(objects=(5, 8), attributes=(5, 6), trials=2, with_stem=True)
 
 
-def test_pooled_records_equal_serial_records():
-    spec = small_spec(**POOL_GRID)
-    serial = run_sweep(spec, workers=1)
-    pooled = run_sweep(spec, workers=2)
-    assert multiprocessing.active_children() == []
-    assert len(pooled) == len(serial) == 8
+def open_fds():
+    return sorted(os.listdir("/proc/self/fd")) if sys.platform == "linux" else []
+
+
+@pytest.fixture
+def leaves_nothing():
+    """After the test: no child process is left, and no file descriptor
+    stays open (on Linux)."""
+    before = open_fds()
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == before
+
+
+def assert_same_records(serial, pooled):
+    assert len(pooled) == len(serial)
     for a, b in zip(serial, pooled):
         for f in dataclasses.fields(TrialRecord):
             if f.name in TIMING_FIELDS:
-                assert getattr(b, f.name) is not None  # measured in the child
+                assert getattr(b, f.name) is not None  # measured where it ran
             else:
                 assert getattr(a, f.name) == getattr(b, f.name), f.name
 
 
-def test_pooled_trials_run_in_child_processes(monkeypatch, tmp_path):
-    log = tmp_path / "pids"
-    real = sweep_mod.gen_single
+def test_pooled_records_equal_serial_records(leaves_nothing):
+    spec = small_spec(**POOL_GRID)
+    serial = run_sweep(spec, workers=1)
+    assert len(serial) == 8
+    assert_same_records(serial, run_sweep(spec, workers=2))
 
-    def logged(model_spec):
+
+@pytest.mark.parametrize("workers, trials", [
+    (2, 7), (3, 7), (5, 7),  # uneven shares
+    (3, 2), (5, 3),          # more workers than trials
+])
+def test_pooled_records_equal_serial_records_for_any_share(
+        workers, trials, leaves_nothing):
+    spec = small_spec(trials=trials, with_stem=True)
+    assert_same_records(run_sweep(spec, workers=1),
+                        run_sweep(spec, workers=workers))
+
+
+def log_trial_pids(monkeypatch, log):
+    """Makes every trial append "pid cell trial" to ``log``."""
+    real = sweep_mod.run_trial
+
+    def logged(spec, cell_index, cell_params, trial):
         with open(log, "a", encoding="ascii") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return real(model_spec)
+            fh.write(f"{os.getpid()} {cell_index} {trial}\n")
+        return real(spec, cell_index, cell_params, trial)
 
-    monkeypatch.setattr(sweep_mod, "gen_single", logged)
-    run_sweep(small_spec(**POOL_GRID), workers=2)
-    pids = log.read_text(encoding="ascii").split()
-    assert len(pids) == 8
-    assert str(os.getpid()) not in pids and 1 <= len(set(pids)) <= 2
+    monkeypatch.setattr(sweep_mod, "run_trial", logged)
 
 
-def test_pooled_trial_exception_propagates_with_its_type(monkeypatch):
+@pytest.mark.parametrize("workers", [2, 3])
+def test_pooled_trials_split_between_caller_and_children(
+        workers, monkeypatch, tmp_path, leaves_nothing):
+    """This process runs jobs[0::N]; N - 1 children run the rest."""
+    log = tmp_path / "pids"
+    log_trial_pids(monkeypatch, log)
+    spec = small_spec(**POOL_GRID)
+    run_sweep(spec, workers=workers)
+    entries = [line.split(" ", 1)
+               for line in log.read_text(encoding="ascii").splitlines()]
+    jobs = [f"{ci} {t}" for ci in range(len(spec.cells()))
+            for t in range(spec.trials)]
+    assert [job for pid, job in entries
+            if pid == str(os.getpid())] == jobs[0::workers]
+    assert sorted(job for _, job in entries) == sorted(jobs)
+    assert len({pid for pid, _ in entries}) == workers
+
+
+def fail_in(where, exc, monkeypatch):
+    """Makes every trial raise ``exc`` in the caller (``where`` is
+    "caller") or in the forked children ("child"); the others run."""
+    caller = os.getpid()
+    real = sweep_mod.run_trial
+
+    def failing(*args):
+        if (os.getpid() == caller) == (where == "caller"):
+            raise exc
+        return real(*args)
+
+    monkeypatch.setattr(sweep_mod, "run_trial", failing)
+
+
+def test_pooled_trial_exception_propagates_with_its_type(monkeypatch,
+                                                          leaves_nothing):
     def broken(model_spec):
         raise RuntimeError("generator bug")
 
     monkeypatch.setattr(sweep_mod, "gen_single", broken)
     with pytest.raises(RuntimeError, match="^generator bug$"):
         run_sweep(small_spec(**POOL_GRID), workers=2)
-    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("where", ["caller", "child"])
+def test_exception_in_either_share_propagates_with_its_type(
+        where, monkeypatch, leaves_nothing):
+    fail_in(where, LookupError("trial bug"), monkeypatch)
+    with pytest.raises(LookupError, match="^trial bug$"):
+        run_sweep(small_spec(**POOL_GRID), workers=3)
+
+
+class CarriesALambda(Exception):
+    def __init__(self, text):
+        super().__init__(text)
+        self.hook = lambda: None  # no pickle
+
+
+class TakesTwoArguments(Exception):
+    def __init__(self, first, second):  # pickles, but does not unpickle
+        super().__init__(f"{first} and {second}")
+
+
+@pytest.mark.parametrize("exc, text", [
+    (CarriesALambda("no pickle"), "CarriesALambda: no pickle"),
+    (TakesTwoArguments("one", "two"), "TakesTwoArguments: one and two"),
+])
+def test_child_exception_that_does_not_pickle_comes_back_as_runtime_error(
+        exc, text, monkeypatch, leaves_nothing):
+    fail_in("child", exc, monkeypatch)
+    with pytest.raises(RuntimeError, match=f"^{text}$"):
+        run_sweep(small_spec(**POOL_GRID), workers=2)
+
+
+def test_child_that_exits_without_a_result_raises_one_error(monkeypatch,
+                                                            leaves_nothing):
+    caller = os.getpid()
+    real = sweep_mod.run_trial
+
+    def exiting(*args):
+        if os.getpid() != caller:
+            os._exit(3)
+        return real(*args)
+
+    monkeypatch.setattr(sweep_mod, "run_trial", exiting)
+    with pytest.raises(RuntimeError, match=(
+            r"^sweep worker process \d+ ended with exit status 3 "
+            r"and sent no result$")):
+        run_sweep(small_spec(**POOL_GRID), workers=2)
+
+
+def test_system_exit_in_a_child_never_returns_into_the_caller(
+        monkeypatch, tmp_path, leaves_nothing):
+    """A child ends in os._exit whatever its trial raises, so only this
+    process runs the code after run_sweep."""
+    fail_in("child", SystemExit(4), monkeypatch)
+    log = tmp_path / "after"
+    with pytest.raises(BaseException) as raised:  # whatever unwinds to here
+        run_sweep(small_spec(**POOL_GRID), workers=2)
+    with open(log, "a", encoding="ascii") as fh:
+        fh.write(f"{os.getpid()}\n")
+    assert raised.type is RuntimeError
+    assert "with exit status 1 and sent no result" in str(raised.value)
+    assert log.read_text(encoding="ascii").split() == [str(os.getpid())]
 
 
 def test_pooled_sweep_warns_nothing():
     """Python 3.12+ warns when a process that runs threads forks; the
-    pool forks its children before it starts its own threads."""
+    sweep starts no thread, and numpy's BLAS threads stop at fork."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         run_sweep(small_spec(**POOL_GRID), workers=2)
