@@ -14,6 +14,22 @@ from implbases import (FitError, SweepSpec, almost_sure_lower_exponent,
                        fit_exponent, fit_lower_envelope, render_csv, run_sweep)
 
 
+def diagonal_sweep(sizes, p, trials, base_seed):
+    """The trial records of the n = m diagonal at cell probability `p`:
+    one single-cell sweep per size, since a sweep grid crosses every
+    object count with every attribute count, and the records' cells
+    numbered in size order. Trial seeds derive from the cell parameters,
+    so each size's trials are those of that cell in any grid."""
+    records = []
+    for cell_index, nm in enumerate(sizes):
+        for rec in run_sweep(SweepSpec(
+                model="single", objects=(nm,), attributes=(nm,),
+                p_values=(p,), trials=trials, base_seed=base_seed)):
+            rec.cell = cell_index
+            records.append(rec)
+    return records
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sizes", default="10,15,20,25,30",
@@ -27,17 +43,12 @@ def main() -> int:
     args = parser.parse_args()
 
     sizes = tuple(int(v) for v in args.sizes.split(","))
-    # one single-cell sweep per diagonal size, cells numbered in size order
-    records, calibration = [], []
-    for seed, out in ((args.seed, records), (args.calibration_seed, calibration)):
-        for cell_index, nm in enumerate(sizes):
-            for rec in run_sweep(SweepSpec(
-                    model="single", objects=(nm,), attributes=(nm,),
-                    p_values=(args.p,), trials=args.trials, base_seed=seed)):
-                if rec.error is not None:
-                    sys.exit(f"trial failed: {rec.error}")
-                rec.cell = cell_index
-                out.append(rec)
+    records = diagonal_sweep(sizes, args.p, args.trials, args.seed)
+    calibration = diagonal_sweep(sizes, args.p, args.trials,
+                                 args.calibration_seed)
+    for rec in records + calibration:
+        if rec.error is not None:
+            sys.exit(f"trial failed: {rec.error}")
     spec = SweepSpec(model="single", objects=sizes, attributes=sizes,
                      p_values=(args.p,), trials=args.trials,
                      base_seed=args.seed)

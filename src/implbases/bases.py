@@ -18,31 +18,31 @@ far; a candidate's closure stops at the first attribute that fails the
 lectic test. Its premises are exactly the pseudo-intents.
 
 An ``ImplicationBase`` holds (premise mask, conclusion mask) pairs.
-Both bases are built by ``ImplicationBase.from_mask_pairs``, which
-checks the invariants of ``Implication`` and of the base on the masks,
-with their texts; ``Implication`` objects are made only when a caller
-iterates the base or asks for ``implications``, and the closures and
-``format_implications`` read the masks. ``format_implications``
-computes each premise's member tuple once and each distinct
-conclusion's once, and sorts the text lines on them.
+Its one constructor takes those pairs and checks the invariants of
+``Implication`` and of the base on the masks, with their texts;
+``Implication`` objects are made only when a caller iterates the base
+or asks for ``implications``, and ``format_implications`` reads the
+masks. ``format_implications`` computes each premise's member tuple
+once and each distinct conclusion's once, and sorts the text lines on
+them.
 
-Both constructions have brute-force oracles used by the test suite.
+The test suite checks both constructions against brute-force oracles
+(``tests/oracles.py``): a scan of all attribute subsets for the proper
+premises, and the recursive definition of a pseudo-intent for the stem
+base.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, attrgetter, or_
+from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
 
 from .context import FormalContext
-from .hypergraph import Hypergraph, _scan_subsets, _transversal_masks
+from .hypergraph import Hypergraph, _transversal_masks
 from .sets import (AttributeSet, IndexSet, mask_members, mask_order_key,
                    sorted_sets)
-
-BRUTE_FORCE_PREMISE_LIMIT = 15
-BRUTE_FORCE_PSEUDO_INTENT_LIMIT = 12
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,33 +76,21 @@ class ImplicationBase:
 
     Held as one tuple of (premise mask, conclusion mask) pairs: the
     ``Implication`` objects of ``implications`` and of iteration are
-    made when a caller asks for them. The constructor takes
-    ``Implication``s; the bases of this module are built from their
-    masks by ``from_mask_pairs``, which checks the same invariants with
-    the same texts.
+    made when a caller asks for them.
     """
 
     __slots__ = ("_pairs", "kind", "n_attributes")
 
-    def __init__(self, implications: Iterable[Implication], kind: str,
+    def __init__(self, pairs: Iterable[tuple[int, int]], kind: str,
                  n_attributes: int) -> None:
-        implications = tuple(implications)
-        _check_kind(kind)
-        universes = set(map(attrgetter("premise.universe"), implications))
-        if not universes <= {n_attributes}:
-            raise ValueError("implication universe differs from base universe")
-        self._init(tuple(map(attrgetter("premise.mask", "conclusion.mask"),
-                             implications)), kind, n_attributes)
-
-    @classmethod
-    def from_mask_pairs(cls, pairs: Iterable[tuple[int, int]], kind: str,
-                        n_attributes: int) -> "ImplicationBase":
         """The base of the (premise mask, conclusion mask) pairs, in
-        order. Refuses what ``Implication`` and the constructor refuse,
-        with their texts: a mask with bits outside the universe, an
-        empty conclusion, a conclusion that meets its premise."""
+        order. Refuses an unknown kind; then what ``Implication``
+        refuses, with its texts: a mask with bits outside the universe,
+        an empty conclusion, a conclusion that meets its premise; then a
+        duplicate implication."""
         pairs = tuple(pairs)
-        _check_kind(kind)
+        if kind not in ("proper", "stem"):
+            raise ValueError(f"unknown base kind {kind!r}")
         premises, conclusions = zip(*pairs) if pairs else ((), ())
         used = reduce(or_, premises, 0) | reduce(or_, conclusions, 0)
         if (used < 0 or used >> n_attributes or 0 in conclusions
@@ -110,12 +98,6 @@ class ImplicationBase:
             for p, c in pairs:  # the first fault, as the wrappers find it
                 Implication(IndexSet.from_mask(n_attributes, p),
                             IndexSet.from_mask(n_attributes, c))
-        base = cls.__new__(cls)
-        base._init(pairs, kind, n_attributes)
-        return base
-
-    def _init(self, pairs: tuple[tuple[int, int], ...], kind: str,
-              n_attributes: int) -> None:
         if len(set(pairs)) != len(pairs):
             raise ValueError("duplicate implication")
         object.__setattr__(self, "_pairs", pairs)
@@ -163,18 +145,12 @@ class ImplicationBase:
     def __hash__(self) -> int:
         return hash((self._pairs, self.kind, self.n_attributes))
 
-    def __reduce__(self):  # copy and pickle through the checked classmethod
-        return (ImplicationBase.from_mask_pairs,
-                (self._pairs, self.kind, self.n_attributes))
+    def __reduce__(self):  # copy and pickle through the checked constructor
+        return (ImplicationBase, (self._pairs, self.kind, self.n_attributes))
 
     def __repr__(self) -> str:
         return (f"ImplicationBase(implications={self.implications!r}, "
                 f"kind={self.kind!r}, n_attributes={self.n_attributes!r})")
-
-
-def _check_kind(kind: str) -> None:
-    if kind not in ("proper", "stem"):
-        raise ValueError(f"unknown base kind {kind!r}")
 
 
 # -- proper premises ----------------------------------------------------------
@@ -229,24 +205,6 @@ def proper_premises_of(ctx: FormalContext, a: int) -> list[AttributeSet]:
     return sorted_sets(n, _attribute_premises(ctx.row_masks, n, a)[0])
 
 
-def brute_force_proper_premises(ctx: FormalContext, a: int) -> list[AttributeSet]:
-    """Oracle: scan all attribute subsets for the premise property (every
-    row containing the subset contains `a`), keep the inclusion-minimal
-    ones, drop {a}.
-    """
-    n = ctx.n_attributes
-    if n > BRUTE_FORCE_PREMISE_LIMIT:
-        raise ValueError(
-            f"brute force limited to {BRUTE_FORCE_PREMISE_LIMIT} attributes, got {n}")
-    if not 0 <= a < n:
-        raise ValueError(f"attribute {a} outside universe {n}")
-    rows = ctx.row_masks
-    kept = _scan_subsets(n, lambda s, kept: (
-        all(row >> a & 1 for row in rows if row & s == s)
-        and not any(k & s == k for k in kept)))
-    return sorted_sets(n, (m for m in kept if m != 1 << a))
-
-
 def premises_by_attribute(ctx: FormalContext) -> Iterator[tuple[list[int], int]]:
     """Each attribute's proper-premise masks, in no fixed order, with its
     minimal-transversal count (the trivial {a} included), yielded one
@@ -289,49 +247,8 @@ def proper_premise_base(ctx: FormalContext) -> ImplicationBase:
         for p in masks:
             merged[p] = merged.get(p, 0) | abit
     premises = sorted(merged, key=mask_order_key)
-    return ImplicationBase.from_mask_pairs(
+    return ImplicationBase(
         zip(premises, map(merged.__getitem__, premises)), "proper", n)
-
-
-# -- implication-set closure ---------------------------------------------------
-
-
-def _mask_pairs(base: ImplicationBase | Iterable[Implication]
-                ) -> list[tuple[int, int]]:
-    if isinstance(base, ImplicationBase):
-        return base.mask_pairs()
-    return [(imp.premise.mask, imp.conclusion.mask) for imp in base]
-
-
-def close_once(base: ImplicationBase | Iterable[Implication],
-               x: AttributeSet) -> AttributeSet:
-    """Single-pass closure: x plus the conclusions of all implications
-    whose premise lies inside x."""
-    mask = x.mask
-    out = mask
-    for p, c in _mask_pairs(base):
-        if p & ~mask == 0:
-            out |= c
-    return IndexSet.from_mask(x.universe, out)
-
-
-def close_fixpoint(base: ImplicationBase | Iterable[Implication],
-                   x: AttributeSet) -> AttributeSet:
-    """Least fixpoint of close_once above x.
-
-    Each productive round adds at least one attribute, so at most
-    |universe| rounds run.
-    """
-    imps = _mask_pairs(base)
-    mask = x.mask
-    changed = True
-    while changed:
-        changed = False
-        for p, c in imps:
-            if p & ~mask == 0 and c & ~mask:
-                mask |= c
-                changed = True
-    return IndexSet.from_mask(x.universe, mask)
 
 
 # -- stem base ------------------------------------------------------------------
@@ -379,8 +296,7 @@ def stem_base(ctx: FormalContext) -> ImplicationBase:
             if not mask & forbidden:
                 current = mask
                 break
-    return ImplicationBase.from_mask_pairs(
-        [(p, c & ~p) for p, c in found], "stem", n)
+    return ImplicationBase([(p, c & ~p) for p, c in found], "stem", n)
 
 
 def _closure_mask(ctx: FormalContext, attrs_mask: int) -> int:
@@ -398,31 +314,6 @@ def _closure_mask(ctx: FormalContext, attrs_mask: int) -> int:
         out &= rows[low.bit_length() - 1]
         obj_mask ^= low
     return out
-
-
-def brute_force_pseudo_intents(ctx: FormalContext) -> list[AttributeSet]:
-    """Oracle: apply the recursive pseudo-intent definition to all
-    attribute subsets in ascending cardinality.
-
-    P is a pseudo-intent iff P is not closed and Q'' is a proper subset
-    of P for every pseudo-intent Q properly inside P.
-    """
-    n = ctx.n_attributes
-    if n > BRUTE_FORCE_PSEUDO_INTENT_LIMIT:
-        raise ValueError(
-            f"brute force limited to {BRUTE_FORCE_PSEUDO_INTENT_LIMIT} attributes, got {n}")
-    closure: dict[int, int] = {}  # pseudo-intents found so far -> closure
-
-    def pseudo(s: int, _found: list[int]) -> bool:
-        closed = _closure_mask(ctx, s)
-        if closed == s or not all(
-                not (q != s and q & ~s == 0) or (qc != s and qc & ~s == 0)
-                for q, qc in closure.items()):
-            return False
-        closure[s] = closed
-        return True
-
-    return sorted_sets(n, _scan_subsets(n, pseudo))
 
 
 # -- text serialization ----------------------------------------------------------

@@ -22,7 +22,8 @@ from pathlib import Path
 from .bases import format_implications, proper_premise_base, stem_base
 from .bounds import base_size_log10, classify_regime, context_exponents
 from .ctxio import read_context_file, write_burmeister
-from .randctx import gen_multi, gen_single, spec_from_cell, spec_to_keyvalues
+from .randctx import (SampleTooLarge, gen_multi, gen_single, spec_from_cell,
+                      spec_to_keyvalues)
 from .sets import mask_members
 from .sweep import (DEFAULT_MAX_PROPER_ATTRIBUTES, DEFAULT_MAX_STEM_ATTRIBUTES,
                     FitError, SweepSpec, check_workers, fit_exponent,
@@ -313,7 +314,11 @@ def cmd_sweep(args) -> int:
     if out is None:
         return 2
     with out as fh:
-        records = run_sweep(spec, workers=args.workers)
+        try:
+            records = run_sweep(spec, workers=args.workers)
+        except SampleTooLarge as exc:  # a sample that cannot be allocated
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if args.format == "json":
             payload = [record_fields(rec, args.timings) for rec in records]
             fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

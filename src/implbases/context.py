@@ -1,17 +1,14 @@
-"""Formal contexts and the derivation/closure operators.
+"""Formal contexts: a binary relation between objects and attributes.
 
-A formal context is a binary relation between objects and attributes.
-Deriving an object set yields the attributes common to all its objects;
-deriving an attribute set yields the objects having all its attributes;
-composing the two gives the closure operator that the rest of the
-package is tested against.
+A context is held as two views of one incidence relation, the
+attribute mask of every object (its row) and the object mask of every
+attribute (its column); the bases and the random model read and build
+these views directly.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
-
-from .sets import AttributeSet, IndexSet, ObjectSet
 
 
 def _default_names(prefix: str, count: int) -> tuple[str, ...]:
@@ -22,7 +19,7 @@ class FormalContext:
     """Immutable object/attribute incidence relation.
 
     Rows and columns are materialised as bitmasks at construction, so
-    both derivation directions are intersections of machine words.
+    deriving in either direction intersects masks.
     Duplicate rows are allowed (random models can produce them).
     Objects and attributes are identified by dense indices; `object_names`
     and `attribute_names` are presentation-layer labels only.
@@ -118,17 +115,6 @@ class FormalContext:
 
     # -- views -------------------------------------------------------------
 
-    def incidence(self, o: int, a: int) -> bool:
-        return bool(self._rows[o] >> a & 1)
-
-    def object_row(self, o: int) -> AttributeSet:
-        """Attributes of object `o` (the row view)."""
-        return IndexSet.from_mask(self.n_attributes, self._rows[o])
-
-    def attribute_column(self, a: int) -> ObjectSet:
-        """Objects having attribute `a` (the column view)."""
-        return IndexSet.from_mask(self.n_objects, self._cols[a])
-
     @property
     def row_masks(self) -> tuple[int, ...]:
         return self._rows
@@ -136,44 +122,6 @@ class FormalContext:
     @property
     def column_masks(self) -> tuple[int, ...]:
         return self._cols
-
-    # -- derivation operators ----------------------------------------------
-
-    def derive_objects(self, objs: ObjectSet) -> AttributeSet:
-        """Attributes shared by every object in `objs`.
-
-        The empty object set derives to the full attribute set (empty
-        quantification).
-        """
-        self._check_objects(objs)
-        mask = (1 << self.n_attributes) - 1
-        for o in objs:
-            mask &= self._rows[o]
-            if not mask:
-                break
-        return IndexSet.from_mask(self.n_attributes, mask)
-
-    def derive_attributes(self, attrs: AttributeSet) -> ObjectSet:
-        """Objects having every attribute in `attrs`; dual of derive_objects."""
-        self._check_attributes(attrs)
-        mask = (1 << self.n_objects) - 1
-        for a in attrs:
-            mask &= self._cols[a]
-            if not mask:
-                break
-        return IndexSet.from_mask(self.n_objects, mask)
-
-    def closure(self, attrs: AttributeSet) -> AttributeSet:
-        """Closure of an attribute set: derive twice.
-
-        Extensive, monotone and idempotent.
-        """
-        return self.derive_objects(self.derive_attributes(attrs))
-
-    def implication_holds(self, premise: AttributeSet, conclusion: AttributeSet) -> bool:
-        """True iff premise' is contained in conclusion'."""
-        return self.derive_attributes(premise).is_subset(
-            self.derive_attributes(conclusion))
 
     # -- identity ------------------------------------------------------------
 
@@ -189,20 +137,3 @@ class FormalContext:
 
     def __repr__(self) -> str:
         return f"FormalContext({self.n_objects} objects, {self.n_attributes} attributes)"
-
-    def _check_objects(self, objs: IndexSet) -> None:
-        if objs.universe != self.n_objects:
-            raise ValueError(
-                f"object set universe {objs.universe} != {self.n_objects}")
-
-    def _check_attributes(self, attrs: IndexSet) -> None:
-        if attrs.universe != self.n_attributes:
-            raise ValueError(
-                f"attribute set universe {attrs.universe} != {self.n_attributes}")
-
-    def attribute_set(self, members: Iterable[int] = ()) -> AttributeSet:
-        """Convenience constructor bound to this context's attribute universe."""
-        return IndexSet(self.n_attributes, members)
-
-    def object_set(self, members: Iterable[int] = ()) -> ObjectSet:
-        return IndexSet(self.n_objects, members)

@@ -14,15 +14,16 @@ order; the public functions sort at the boundary (``sets.sorted_sets``).
 Degenerate inputs are distinguished deliberately: a hypergraph with no
 edges has the single (vacuous) minimal transversal ``{}``, while a
 hypergraph containing an empty edge has none at all.
+
+The test suite checks the enumerator against a brute-force scan of all
+vertex subsets (``tests/oracles.py``), which shares no code with it.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .sets import IndexSet, sorted_sets
-
-BRUTE_FORCE_VERTEX_LIMIT = 20
 
 
 class Hypergraph:
@@ -74,14 +75,6 @@ def normalize(h: Hypergraph) -> Hypergraph:
                       sorted_sets(h.vertex_count, _minimize_masks(h.edge_masks)))
 
 
-def is_transversal(h: Hypergraph, s: IndexSet) -> bool:
-    """True iff `s` intersects every edge (vacuously true when edgeless)."""
-    if s.universe != h.vertex_count:
-        raise ValueError(f"vertex universe {s.universe} != {h.vertex_count}")
-    mask = s.mask
-    return all(mask & e for e in h.edge_masks) if h.edges else True
-
-
 def minimal_transversals(h: Hypergraph) -> list[IndexSet]:
     """All inclusion-minimal transversals, lexicographic by member indices.
 
@@ -90,35 +83,6 @@ def minimal_transversals(h: Hypergraph) -> list[IndexSet]:
     """
     return sorted_sets(h.vertex_count,
                        _transversal_masks(h.vertex_count, h.edge_masks))
-
-
-def brute_force_transversals(h: Hypergraph) -> list[IndexSet]:
-    """Oracle: scan all vertex subsets, keep the minimal transversals.
-
-    Same contract as :func:`minimal_transversals`; guarded to small
-    vertex counts.
-    """
-    n = h.vertex_count
-    if n > BRUTE_FORCE_VERTEX_LIMIT:
-        raise ValueError(
-            f"brute force limited to {BRUTE_FORCE_VERTEX_LIMIT} vertices, got {n}")
-    edges = h.edge_masks
-    return sorted_sets(n, _scan_subsets(
-        n, lambda s, kept: all(s & e for e in edges)
-        and not any(k & s == k for k in kept)))
-
-
-def _scan_subsets(n: int, keep: Callable[[int, list[int]], bool]) -> list[int]:
-    """Oracle walk over all ``2**n`` subsets in ascending cardinality:
-    subset ``s`` is kept when ``keep(s, kept)`` holds for the masks kept
-    before it. Shared by the brute-force oracles, which must not rely on
-    the engine they check.
-    """
-    kept: list[int] = []
-    for s in sorted(range(1 << n), key=int.bit_count):
-        if keep(s, kept):
-            kept.append(s)
-    return kept
 
 
 # -- mask-level core ---------------------------------------------------------

@@ -108,15 +108,24 @@ def effective_probabilities(spec: MultiParamSpec) -> list[float]:
     return probs
 
 
+class SampleTooLarge(ValueError):
+    """The random model's refusal of a sample that no index reaches or
+    that cannot be allocated. A sweep catches this type alone from its
+    trials, so that any other exception inside a trial propagates."""
+
+
+_TOO_LARGE = "n_objects is too large to sample"
+
+
 def check_sample_size(n_objects: int, n_attributes: int) -> None:
     """Refuses an object count that no sample can index, which a spec
     accepts for the bounds: one whose attribute x object matrix of
     8-byte draws, or list of row masks, has more bytes than an index
-    reaches. The one check and text of that refusal; the sampler asks
-    it, and so does a sweep for each cell before any trial runs. A count
-    that can be indexed but not held in memory is not refused here."""
+    reaches. The sampler asks it, and so does a sweep for each cell
+    before any trial runs. A count that can be indexed but not
+    allocated is refused, with the same text, by the sampler alone."""
     if n_objects * max(n_attributes, 1) > sys.maxsize // 8:
-        raise ValueError("n_objects is too large to sample")
+        raise SampleTooLarge(_TOO_LARGE)
 
 
 def _packed_masks(crosses: np.ndarray) -> list[int]:
@@ -138,7 +147,10 @@ def _sample_columns(n_objects: int, n_attributes: int,
     object matrix, compared once against the probabilities; the column
     and row masks are its rows and its columns, packed."""
     check_sample_size(n_objects, n_attributes)
-    draws = np.empty((n_attributes, n_objects))
+    try:
+        draws = np.empty((n_attributes, n_objects))
+    except MemoryError:
+        raise SampleTooLarge(_TOO_LARGE) from None
     for a in range(n_attributes):
         np.random.Generator(np.random.PCG64(
             np.random.SeedSequence(seed, spawn_key=(a,)))).random(
@@ -204,30 +216,3 @@ def spec_to_keyvalues(spec: SingleParamSpec | MultiParamSpec) -> list[str]:
     probs = effective_probabilities(spec)
     lines.append("column_probs=" + ",".join(repr(p) for p in probs))
     return lines
-
-
-def spec_from_keyvalues(text: str) -> SingleParamSpec | MultiParamSpec:
-    """Parse the key-value form (one pair per line, '#' prefixes and
-    blank lines ignored)."""
-    pairs: dict[str, str] = {}
-    for raw in text.split("\n"):
-        line = raw.strip()
-        if line.startswith("#"):
-            line = line[1:].strip()
-        if not line or "=" not in line:
-            continue
-        key, value = line.split("=", 1)
-        pairs[key.strip()] = value.strip()
-    model = pairs.get("model")
-    if model not in ("single", "multi"):
-        raise ValueError(
-            f"unknown or missing model in key-value spec: {model!r}")
-    model_keys = ({"p": float} if model == "single" else
-                  {"u_size": int, "r_size": int, "x": float, "f_prob": float})
-    cell = {"model": model}
-    for key, kind in {"objects": int, "attributes": int, **model_keys,
-                      "seed": int}.items():
-        if key not in pairs:
-            raise ValueError(f"missing key in key-value spec: {key!r}")
-        cell[key] = kind(pairs[key])
-    return spec_from_cell(cell, cell["seed"])

@@ -1,10 +1,9 @@
 """Fixed-universe index sets backed by integer bitmasks.
 
-The package's public sets (attribute sets, object sets, hypergraph
-edges, implication premises) are these; inner loops run on the raw
-masks and wrap results only at the API boundary. Elements are dense
-integer indices ``0..universe-1``; the mask representation makes union,
-intersection and subset tests single big-int operations.
+The package's public sets (attribute sets, hypergraph edges,
+implication premises and conclusions) are these; inner loops run on the
+raw masks and wrap results only at the API boundary. Elements are dense
+integer indices ``0..universe-1``.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Iterable, Iterator
 class IndexSet:
     """Immutable subset of ``{0, ..., universe-1}``.
 
-    Binary operations require both operands to share the same universe
+    A subset test requires both operands to share the same universe
     size; mixing universes raises ``ValueError``.
     """
 
@@ -41,10 +40,6 @@ class IndexSet:
         _set_universe(s, universe)
         _set_mask(s, mask)
         return s
-
-    @classmethod
-    def full(cls, universe: int) -> "IndexSet":
-        return cls.from_mask(universe, (1 << universe) - 1)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("IndexSet is immutable")
@@ -72,42 +67,6 @@ class IndexSet:
         self._check(other)
         return self.mask & ~other.mask == 0
 
-    def is_proper_subset(self, other: "IndexSet") -> bool:
-        return self.mask != other.mask and self.is_subset(other)
-
-    def intersects(self, other: "IndexSet") -> bool:
-        self._check(other)
-        return bool(self.mask & other.mask)
-
-    # -- algebra ---------------------------------------------------------
-
-    def __or__(self, other: "IndexSet") -> "IndexSet":
-        self._check(other)
-        return IndexSet.from_mask(self.universe, self.mask | other.mask)
-
-    def __and__(self, other: "IndexSet") -> "IndexSet":
-        self._check(other)
-        return IndexSet.from_mask(self.universe, self.mask & other.mask)
-
-    def __sub__(self, other: "IndexSet") -> "IndexSet":
-        self._check(other)
-        return IndexSet.from_mask(self.universe, self.mask & ~other.mask)
-
-    def complement(self) -> "IndexSet":
-        return IndexSet.from_mask(self.universe, ~self.mask & ((1 << self.universe) - 1))
-
-    def add(self, i: int) -> "IndexSet":
-        """New set with `i` added (the receiver is unchanged)."""
-        if not 0 <= i < self.universe:
-            raise ValueError(f"member {i} outside universe of size {self.universe}")
-        return IndexSet.from_mask(self.universe, self.mask | 1 << i)
-
-    def remove(self, i: int) -> "IndexSet":
-        """New set with `i` removed (no error if absent)."""
-        if not 0 <= i < self.universe:
-            raise ValueError(f"member {i} outside universe of size {self.universe}")
-        return IndexSet.from_mask(self.universe, self.mask & ~(1 << i))
-
     # -- identity --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -133,15 +92,14 @@ class IndexSet:
 _set_universe = IndexSet.universe.__set__
 _set_mask = IndexSet.mask.__set__
 
-# Attribute and object sets share the representation; the distinction is
-# which universe (attribute count vs object count) they are built over.
+# an attribute set is an index set over the attribute universe
 AttributeSet = IndexSet
-ObjectSet = IndexSet
 
 
 def mask_members(mask: int) -> tuple[int, ...]:
     """Ascending indices of the set bits of `mask`: the members of the
-    set it codes, and so its `sort_key`. The one mask -> members loop."""
+    set it codes, and so its canonical sort key. The one mask -> members
+    loop."""
     if mask < 0:
         raise ValueError(f"mask {mask:#x} is negative")
     members = []
@@ -164,13 +122,8 @@ def mask_order_key(mask: int) -> str:
     return bin(mask)[:1:-1].translate(_SWAP_DIGITS) if mask else ""
 
 
-def sort_key(s: IndexSet) -> tuple[int, ...]:
-    """Lexicographic-by-members order used for all deterministic output."""
-    return mask_members(s.mask)
-
-
 def sorted_sets(universe: int, masks: Iterable[int]) -> list[IndexSet]:
-    """The canonical form of a set family: `masks` in `sort_key` order,
+    """The canonical form of a set family: `masks` in member-tuple order,
     then wrapped as index sets over `universe`. Mask-level kernels
     return families in no fixed order; their callers sort here, at the
     API boundary."""

@@ -17,7 +17,9 @@ bound refuses in any cell is refused whole, before any trial runs. A
 trial refused by a size guard becomes an error row with blank metrics,
 decided before any work; the bound columns stay blank where the bound is
 not defined. Nothing else makes an error row: an exception inside a
-trial is a bug and propagates.
+trial propagates. It is a bug, unless it is the random model's
+``SampleTooLarge`` for a sample that cannot be allocated, which the CLI
+prints as a refusal.
 
 ``fit_exponent`` fits the free constants of the theoretical bound to
 sweep output: the average-bound constant c (with a multiplicative

@@ -7,7 +7,9 @@ seed range (base seed 913370001); criterion 8 uses base seed 20250808
 and criterion 10 uses the committed seed lists 0..99 / 0.
 """
 
+import importlib.util
 import math
+import os
 import random
 import subprocess
 import sys
@@ -17,14 +19,15 @@ import pytest
 from scipy import stats
 
 from implbases import (Hypergraph, IndexSet, SingleParamSpec, SweepSpec,
-                       attribute_hypergraph, avg_pp_exponent,
-                       brute_force_proper_premises,
-                       brute_force_pseudo_intents, brute_force_transversals,
-                       close_fixpoint, close_once, fit_exponent,
+                       attribute_hypergraph, avg_pp_exponent, fit_exponent,
                        fit_lower_envelope, gen_multi, gen_single,
                        minimal_transversals, normalize, proper_premise_base,
                        proper_premises_of, run_sweep, stem_base)
 from implbases.randctx import MultiParamSpec
+
+from oracles import (brute_force_proper_premises, brute_force_pseudo_intents,
+                     brute_force_transversals, close_fixpoint, close_once,
+                     closure)
 
 EVAL_SWEEP_SEED = 20250801
 CALIBRATION_SWEEP_SEED = 913370001
@@ -61,12 +64,22 @@ def corpus():
     return contexts
 
 
+def _load_script(name: str):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "scripts",
+                        f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# the committed acceptance run is the scaling script's own diagonal
+_scaling = _load_script("run_scaling_sweep")
+
+
 def diagonal_sweep(base_seed: int, trials: int = 30):
-    records = []
-    for nm in (10, 15, 20, 25, 30):
-        spec = SweepSpec(model="single", objects=(nm,), attributes=(nm,),
-                         p_values=(0.5,), trials=trials, base_seed=base_seed)
-        records.extend(run_sweep(spec))
+    records = _scaling.diagonal_sweep((10, 15, 20, 25, 30), 0.5, trials,
+                                      base_seed)
     assert all(r.error is None for r in records)
     return records
 
@@ -140,7 +153,7 @@ def test_criterion_04_directness(corpus):
         base = proper_premise_base(ctx)
         for mask in range(1 << ctx.n_attributes):
             x = IndexSet.from_mask(ctx.n_attributes, mask)
-            if close_once(base, x) != ctx.closure(x):
+            if close_once(base, x) != closure(ctx, x):
                 report(4, "canonical direct base directness", False,
                        f"mask {mask}")
             checked += 1
@@ -156,7 +169,7 @@ def test_criterion_05_stem_base_correctness(corpus):
             report(5, "stem base correctness", False, "premise set mismatch")
         for mask in range(1 << ctx.n_attributes):
             x = IndexSet.from_mask(ctx.n_attributes, mask)
-            if close_fixpoint(stem, x) != ctx.closure(x):
+            if close_fixpoint(stem, x) != closure(ctx, x):
                 report(5, "stem base correctness", False,
                        f"incomplete at mask {mask}")
         proper = proper_premise_base(ctx)

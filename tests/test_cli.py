@@ -704,3 +704,53 @@ def test_bounds_take_an_object_count_too_large_to_sample():
                    "--r-size", "3")
     assert proc.stderr == b""
     assert b"regime = quasi-polynomial\n" in proc.stdout
+
+
+# an index reaches the sample's 3 x 10^17 draws, but they are 2.4e18
+# bytes, more than the address space: numpy refuses at once
+UNALLOCATABLE_SAMPLE = "100000000000000000"
+
+
+@pytest.mark.parametrize("args", [
+    ("gen", "--objects", UNALLOCATABLE_SAMPLE, "--attributes", "3"),
+    ("sweep", "--objects", UNALLOCATABLE_SAMPLE, "--attributes", "3",
+     "--workers", "1"),
+    ("sweep", "--objects", UNALLOCATABLE_SAMPLE, "--attributes", "3",
+     "--trials", "2", "--workers", "2"),
+    # the second cell's trial runs in the forked child
+    ("sweep", "--objects", f"10,{UNALLOCATABLE_SAMPLE}", "--attributes", "3",
+     "--workers", "2"),
+])
+def test_sample_too_large_to_allocate_refused(args, tmp_path):
+    """A sample that an index reaches but memory cannot hold is the
+    random model's refusal, with the same one line and no traceback.
+    ``gen`` refuses it before ``--out`` is opened; ``sweep`` has opened
+    ``--out`` before its trials run and leaves it empty."""
+    out = tmp_path / "out"
+    proc = run_cli(*args, "--out", str(out), expect_code=2)
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == "error: n_objects is too large to sample\n"
+    if args[0] == "gen":
+        assert not out.exists()
+    else:
+        assert out.read_bytes() == b""
+
+
+@pytest.mark.parametrize("exc", [ValueError("a trial bug"),
+                                 MemoryError("a trial bug")])
+def test_sweep_lets_other_trial_exceptions_propagate(exc, monkeypatch,
+                                                     tmp_path):
+    """Only the sampler's refusal of an unallocatable sample becomes an
+    ``error:`` line; any other exception inside a trial, a
+    ``ValueError`` or a ``MemoryError`` of the search included, is a bug
+    and propagates out of the CLI."""
+    import implbases.cli as cli
+    import implbases.sweep as sweep_mod
+
+    def broken(ctx):
+        raise exc
+
+    monkeypatch.setattr(sweep_mod, "premise_counts", broken)
+    with pytest.raises(type(exc), match="^a trial bug$"):
+        cli.main(["sweep", "--objects", "5", "--attributes", "3",
+                  "--out", str(tmp_path / "out.csv")])

@@ -7,6 +7,15 @@ from hypothesis import strategies as st
 from implbases import FormalContext, IndexSet
 
 from conftest import TOY_ROWS
+from oracles import closure, derive_attributes, derive_objects, implication_holds
+
+
+def objects(ctx, members=()):
+    return IndexSet(ctx.n_objects, members)
+
+
+def attributes(ctx, members=()):
+    return IndexSet(ctx.n_attributes, members)
 
 
 @st.composite
@@ -22,63 +31,64 @@ def test_row_and_column_views_consistent(toy_context):
     ctx = toy_context
     for o in range(ctx.n_objects):
         for a in range(ctx.n_attributes):
-            assert ctx.incidence(o, a) == (a in ctx.object_row(o))
-            assert ctx.incidence(o, a) == (o in ctx.attribute_column(a))
-            assert ctx.incidence(o, a) == bool(TOY_ROWS[o][a])
+            assert (ctx.row_masks[o] >> a & 1) == (ctx.column_masks[a] >> o & 1)
+            assert (ctx.row_masks[o] >> a & 1) == TOY_ROWS[o][a]
 
 
 def test_derive_objects_examples(toy_context):
     ctx = toy_context
     # o2 carries a2, a4, a5
-    assert ctx.derive_objects(ctx.object_set([1])).members == (1, 3, 4)
+    assert derive_objects(ctx, objects(ctx, [1])).members == (1, 3, 4)
     # empty object set derives to every attribute
-    assert ctx.derive_objects(ctx.object_set()) == IndexSet.full(5)
+    assert derive_objects(ctx, objects(ctx)) == IndexSet.from_mask(5, 0b11111)
     # o2 and o3 share a2, a4
-    assert ctx.derive_objects(ctx.object_set([1, 2])).members == (1, 3)
+    assert derive_objects(ctx, objects(ctx, [1, 2])).members == (1, 3)
 
 
 def test_derive_attributes_examples(toy_context):
     ctx = toy_context
     # column a4 holds o2, o3, o5
-    assert ctx.derive_attributes(ctx.attribute_set([3])).members == (1, 2, 4)
-    assert ctx.derive_attributes(ctx.attribute_set()) == IndexSet.full(5)
+    assert derive_attributes(ctx, attributes(ctx, [3])).members == (1, 2, 4)
+    assert derive_attributes(ctx, attributes(ctx)) == IndexSet.from_mask(5, 0b11111)
     # a3 and a4 together only in o3
-    assert ctx.derive_attributes(ctx.attribute_set([2, 3])).members == (2,)
+    assert derive_attributes(ctx, attributes(ctx, [2, 3])).members == (2,)
 
 
 def test_closure_examples(toy_context):
     ctx = toy_context
-    assert ctx.closure(ctx.attribute_set([3])).members == (3,)
+    assert closure(ctx, attributes(ctx, [3])).members == (3,)
     # {a3,a4}' = {o3}, {o3}' = {a2,a3,a4}
-    assert ctx.closure(ctx.attribute_set([2, 3])).members == (1, 2, 3)
-    closed = ctx.closure(ctx.attribute_set([0]))
-    assert ctx.closure(closed) == closed
+    assert closure(ctx, attributes(ctx, [2, 3])).members == (1, 2, 3)
+    closed = closure(ctx, attributes(ctx, [0]))
+    assert closure(ctx, closed) == closed
 
 
 def test_implication_holds_examples(toy_context):
     ctx = toy_context
-    assert ctx.implication_holds(ctx.attribute_set([2, 3]), ctx.attribute_set([1]))
-    x = ctx.attribute_set([0, 4])
-    assert ctx.implication_holds(x, x)
+    assert implication_holds(ctx, attributes(ctx, [2, 3]), attributes(ctx, [1]))
+    x = attributes(ctx, [0, 4])
+    assert implication_holds(ctx, x, x)
     # o2 has a2 but not a1
-    assert not ctx.implication_holds(ctx.attribute_set([1]), ctx.attribute_set([0]))
+    assert not implication_holds(ctx, attributes(ctx, [1]), attributes(ctx, [0]))
 
 
 def test_empty_contexts_follow_quantification_conventions():
     no_objects = FormalContext.from_row_masks(0, 3, [])
-    assert no_objects.derive_objects(no_objects.object_set()) == IndexSet.full(3)
-    assert no_objects.derive_attributes(no_objects.attribute_set([0])).members == ()
-    assert no_objects.closure(no_objects.attribute_set()) == IndexSet.full(3)
+    assert (derive_objects(no_objects, objects(no_objects))
+            == IndexSet.from_mask(3, 0b111))
+    assert derive_attributes(no_objects, attributes(no_objects, [0])).members == ()
+    assert closure(no_objects, attributes(no_objects)) == IndexSet.from_mask(3, 0b111)
 
     no_attrs = FormalContext.from_row_masks(2, 0, [0, 0])
-    assert no_attrs.derive_attributes(no_attrs.attribute_set()) == IndexSet.full(2)
-    assert no_attrs.derive_objects(no_attrs.object_set([0])).members == ()
+    assert (derive_attributes(no_attrs, attributes(no_attrs))
+            == IndexSet.from_mask(2, 0b11))
+    assert derive_objects(no_attrs, objects(no_attrs, [0])).members == ()
 
 
 def test_duplicate_rows_allowed():
     ctx = FormalContext([[1, 0], [1, 0]])
     assert ctx.n_objects == 2
-    assert ctx.object_row(0) == ctx.object_row(1)
+    assert ctx.row_masks[0] == ctx.row_masks[1]
 
 
 def test_ragged_rows_rejected():
@@ -98,11 +108,11 @@ def test_galois_duality(ctx):
     # A <= O' iff O <= A' for random O, A
     for omask in range(min(1 << ctx.n_objects, 32)):
         objs = IndexSet.from_mask(ctx.n_objects, omask)
-        derived = ctx.derive_objects(objs)
+        derived = derive_objects(ctx, objs)
         for amask in range(min(1 << ctx.n_attributes, 32)):
             attrs = IndexSet.from_mask(ctx.n_attributes, amask)
             lhs = attrs.is_subset(derived)
-            rhs = objs.is_subset(ctx.derive_attributes(attrs))
+            rhs = objs.is_subset(derive_attributes(ctx, attrs))
             assert lhs == rhs
 
 
@@ -114,10 +124,10 @@ def test_closure_laws_exhaustive():
     closures = {}
     for mask in range(1 << 10):
         x = IndexSet.from_mask(10, mask)
-        c = ctx.closure(x)
+        c = closure(ctx, x)
         closures[mask] = c
         assert x.is_subset(c)
-        assert ctx.closure(c) == c
+        assert closure(ctx, c) == c
     for mask in range(1 << 10):
         for e in range(10):
             bigger = mask | (1 << e)
@@ -129,9 +139,9 @@ def test_implication_holds_iff_conclusion_inside_closure():
     context."""
     rows = [((o * 40503) ^ (o << 5)) & 0xFF for o in range(9)]
     ctx = FormalContext.from_row_masks(9, 8, rows)
-    closures = [ctx.closure(IndexSet.from_mask(8, m)).mask for m in range(256)]
+    closures = [closure(ctx, IndexSet.from_mask(8, m)).mask for m in range(256)]
     for pmask, cmask in itertools.product(range(256), range(256)):
         premise = IndexSet.from_mask(8, pmask)
         conclusion = IndexSet.from_mask(8, cmask)
-        assert ctx.implication_holds(premise, conclusion) == \
+        assert implication_holds(ctx, premise, conclusion) == \
             (cmask & ~closures[pmask] == 0)

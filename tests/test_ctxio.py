@@ -30,7 +30,7 @@ def test_header_comments_ignored_on_read(toy_context):
 
 def test_lowercase_x_accepted():
     ctx = read_burmeister("B\n\n1\n2\n\no1\na1\na2\nxX\n")
-    assert ctx.incidence(0, 0) and ctx.incidence(0, 1)
+    assert ctx.row_masks == (0b11,)
 
 
 @pytest.mark.parametrize("text,line", [

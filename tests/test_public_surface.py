@@ -1,0 +1,48 @@
+"""The package's public names, and the line between the program and
+the test suite's reference implementations."""
+
+import os
+import subprocess
+import sys
+
+import implbases
+
+PUBLIC_NAMES = [
+    "AttributeSet", "ContextParseError",
+    "FitError", "FitResult", "FormalContext", "Hypergraph", "Implication",
+    "ImplicationBase", "IndexSet", "MultiParamSpec",
+    "RegimeReport", "SingleParamSpec", "SweepSpec", "TrialRecord",
+    "almost_sure_lower_exponent", "attribute_hypergraph",
+    "avg_pp_exponent", "base_size_log10",
+    "classify_regime", "d_of_alpha",
+    "derive_trial_seed", "effective_probabilities", "fit_exponent",
+    "fit_lower_envelope", "format_implications", "gen_multi", "gen_single",
+    "minimal_transversals", "normalize", "parse_csv",
+    "proper_premise_base", "proper_premises_of", "read_burmeister",
+    "read_burmeister_file", "read_context_file", "read_csv_matrix",
+    "render_csv", "run_sweep", "run_trial",
+    "spec_to_keyvalues", "stem_base", "write_burmeister",
+]
+
+
+def test_public_names_are_pinned_and_resolve():
+    assert implbases.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(implbases, name) is not None, name
+
+
+def test_importing_the_cli_loads_nothing_from_the_tests():
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    code = ("import sys, implbases.cli\n"
+            "for m in list(sys.modules.values()):\n"
+            "    print(getattr(m, '__file__', None) or '')\n")
+    # the tests directory on the path, so that an import of a test module
+    # would find it
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (os.environ.get("PYTHONPATH"), tests_dir) if p)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True, env=env)
+    loaded = [os.path.abspath(f) for f in proc.stdout.split("\n") if f]
+    assert any(f.endswith(os.path.join("implbases", "cli.py")) for f in loaded)
+    assert not [f for f in loaded
+                if os.path.commonpath([f, tests_dir]) == tests_dir]

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from implbases import (MultiParamSpec, SingleParamSpec, effective_probabilities,
-                       gen_multi, gen_single, spec_from_keyvalues,
-                       spec_to_keyvalues, write_burmeister)
+                       gen_multi, gen_single, write_burmeister)
 
 
 def test_spec_validation():
@@ -84,7 +83,7 @@ def test_rare_density_tracks_inverse_log():
     p_r = 1 / math.log(n)
     sigma = math.sqrt(p_r * (1 - p_r) / m)
     for a in range(n):
-        density = ctx.attribute_column(a).mask.bit_count() / m
+        density = ctx.column_masks[a].bit_count() / m
         assert abs(density - p_r) <= 3 * sigma
 
 
@@ -104,7 +103,7 @@ def test_column_cross_counts_pass_chi_square():
     counts = []
     for seed in range(trials):
         ctx = gen_single(SingleParamSpec(m, 1, p, seed=seed))
-        counts.append(ctx.attribute_column(0).mask.bit_count())
+        counts.append(ctx.column_masks[0].bit_count())
     bins = [(0, 16), (17, 18), (19, 19), (20, 20), (21, 22), (23, m)]
     observed = [sum(1 for c in counts if lo <= c <= hi) for lo, hi in bins]
     expected = [trials * sum(stats.binom.pmf(k, m, p) for k in range(lo, hi + 1))
@@ -115,34 +114,9 @@ def test_column_cross_counts_pass_chi_square():
     assert chi2 < threshold, (chi2, threshold, observed, expected)
 
 
-def test_keyvalue_round_trip():
-    single = SingleParamSpec(7, 9, 0.25, seed=42)
-    assert spec_from_keyvalues("\n".join(spec_to_keyvalues(single))) == single
-    multi = MultiParamSpec(7, 9, u_size=2, r_size=3, x=1.5, f_prob=0.6, seed=9)
-    assert spec_from_keyvalues("\n".join(spec_to_keyvalues(multi))) == multi
-
-
-def test_keyvalue_accepts_comment_prefixes():
-    text = "# model=single\n# objects=2\n# attributes=3\n# p=0.5\n# seed=1\n"
-    assert spec_from_keyvalues(text) == SingleParamSpec(2, 3, 0.5, seed=1)
-
-
-def test_keyvalue_unknown_model_rejected():
-    with pytest.raises(ValueError):
-        spec_from_keyvalues("model=other\n")
-
-
 def test_multi_spec_refuses_nan_x():
     with pytest.raises(ValueError, match="^x must be >= 0$"):
         MultiParamSpec(6, 4, u_size=2, r_size=0, x=float("nan"))
-
-
-def test_keyvalue_missing_key_names_it():
-    with pytest.raises(ValueError, match="'attributes'"):
-        spec_from_keyvalues("model=single\nobjects=3\n")
-    with pytest.raises(ValueError, match="'x'"):
-        spec_from_keyvalues("model=multi\nobjects=3\nattributes=4\n"
-                            "u_size=0\nr_size=0\nf_prob=0.5\nseed=0\n")
 
 
 def _per_column_masks(n_objects, n_attributes, probs, seed):
