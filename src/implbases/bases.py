@@ -14,8 +14,12 @@ that orders masks as their member tuples do without building them.
 summed lengths and a set of the distinct premises. The Duquenne-Guigues
 (stem) base is enumerated in lectic order by one Next-Closure loop over
 the sets closed under strict application of the implications found so
-far; a candidate's closure stops at the first attribute that fails the
-lectic test. Its premises are exactly the pseudo-intents.
+far. The strict closure reads the implications through a per-attribute
+index of bitsets (one Python int per attribute, one bit per
+implication), so a candidate's first round is a few big-int operations
+whatever the number of implications; each round fires every applicable
+implication, and the candidate stops after the first round that fails
+the lectic test. Its premises are exactly the pseudo-intents.
 
 An ``ImplicationBase`` holds (premise mask, conclusion mask) pairs.
 Its one constructor takes those pairs and checks the invariants of
@@ -29,7 +33,8 @@ them.
 The test suite checks both constructions against brute-force oracles
 (``tests/oracles.py``): a scan of all attribute subsets for the proper
 premises, and the recursive definition of a pseudo-intent for the stem
-base.
+base. Past the oracles' reach, the stem base must equal, order included,
+a reference Next-Closure there that scans every implication found so far.
 """
 
 from __future__ import annotations
@@ -262,37 +267,86 @@ def stem_base(ctx: FormalContext) -> ImplicationBase:
     implications found so far are exactly the intents plus the
     pseudo-intents; the enumeration walks them with Next-Closure and
     keeps the non-closed ones. Attribute 0 is the most significant
-    position. The candidate at position i, the strict closure of
-    (current below i) + {i}, is dropped at the first added attribute
+    position. The candidate at position i is the strict closure of
+    (current below i) + {i}.
+
+    The implications found so far are indexed by attribute as bitsets
+    over their positions in ``found``: ``outside[j]`` holds those whose
+    premise contains j, ``adds[j]`` those whose closure adds j to the
+    premise. P -> P'' can fire on a set X iff no absent attribute of X
+    is in P and some absent attribute is in P''. Strictness (P -> P''
+    never fires on X = P) needs no check: the closure only runs on sets
+    that pass the lectic test, which come after ``current`` in lectic
+    order and so after every pseudo-intent found. A candidate lacks the
+    absent attributes of ``current`` below i and every attribute above
+    i, so its first round ORs one prefix, made once per closed set, and
+    one suffix, updated when an implication is appended. Each round
+    fires every applicable implication at once; strict closure is
+    monotone, so the fixpoint does not depend on the firing order. The
+    candidate is dropped after the first round that adds an attribute
     more significant than i: the lectic test is the closure's stop rule.
     """
     n = ctx.n_attributes
     full = (1 << n) - 1
     found: list[tuple[int, int]] = []  # (pseudo-intent, its closure)
+    outside = [0] * n  # implications whose premise contains j
+    adds = [0] * n  # implications whose closure minus premise contains j
+    suf_out = [0] * n  # OR of outside[j] over j > i
+    suf_adds = [0] * n  # OR of adds[j] over j > i
+    pre_out = [0] * n  # OR of outside[j] over j < i absent from current
+    pre_adds = [0] * n  # OR of adds[j] over j < i absent from current
     current = 0  # the strict closure of the empty set under no implications
     while True:
         closed = _closure_mask(ctx, current)
         if closed != current:
+            bit = 1 << len(found)
             found.append((current, closed))
+            for members, at, above in ((current, outside, suf_out),
+                                       (closed & ~current, adds, suf_adds)):
+                for i in range(members.bit_length() - 1):
+                    above[i] |= bit
+                while members:
+                    low = members & -members
+                    at[low.bit_length() - 1] |= bit
+                    members ^= low
         if current == full:
             break
-        # at the least significant absent i nothing is forbidden, so
-        # some position is accepted
-        for i in range(n - 1, -1, -1):
+        acc_out = acc_adds = 0
+        absent = full & ~current
+        while absent:
+            low = absent & -absent
+            j = low.bit_length() - 1
+            pre_out[j] = acc_out
+            pre_adds[j] = acc_adds
+            acc_out |= outside[j]
+            acc_adds |= adds[j]
+            absent ^= low
+        # from the least significant absent position up; at the most
+        # significant one nothing is forbidden, so some i is accepted
+        absent = full & ~current
+        while True:
+            i = absent.bit_length() - 1
             ibit = 1 << i
-            if current & ibit:
-                continue
+            absent ^= ibit
             forbidden = (ibit - 1) & ~current
             mask = (current & (ibit - 1)) | ibit
-            grew = True
-            while grew and not mask & forbidden:
-                grew = False
-                for p, c in found:  # P -> P'' where P is a proper subset
-                    if p != mask and p & ~mask == 0 and c & ~mask:
-                        mask |= c
-                        grew = True
-                        if mask & forbidden:
-                            break
+            fire = (pre_adds[i] | suf_adds[i]) & ~(pre_out[i] | suf_out[i])
+            while fire:
+                while fire:
+                    low = fire & -fire
+                    mask |= found[low.bit_length() - 1][1]
+                    fire ^= low
+                if mask & forbidden:
+                    break
+                acc_out = acc_adds = 0
+                lacks = full & ~mask
+                while lacks:
+                    low = lacks & -lacks
+                    j = low.bit_length() - 1
+                    acc_out |= outside[j]
+                    acc_adds |= adds[j]
+                    lacks ^= low
+                fire = acc_adds & ~acc_out
             if not mask & forbidden:
                 current = mask
                 break

@@ -2,11 +2,14 @@
 
 The brute-force oracles scan every subset of a small universe and share
 no code with the engine they check: minimal transversals, proper
-premises and pseudo-intents. The derivation operators of a context, its
-closure and implication validity are here as functions of a context,
-and so are the single-pass and fixpoint closures under an implication
-base. None of this is part of the ``implbases`` package; the program
-runs none of it.
+premises and pseudo-intents. Past their reach, ``next_closure_stem``
+enumerates the stem base by Next-Closure with a plain scan of the
+implications found so far, the reference for the indexed strict closure
+of ``stem_base``. The derivation operators of a context, its closure and
+implication validity are here as functions of a context, and so are the
+single-pass and fixpoint closures under an implication base. Every
+closure of a context here is ``closure`` below. None of this is part of
+the ``implbases`` package; the program runs none of it.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from __future__ import annotations
 from typing import Callable
 
 from implbases import FormalContext, Hypergraph, ImplicationBase, IndexSet
-from implbases.bases import _closure_mask
 from implbases.sets import AttributeSet, sorted_sets
 
 BRUTE_FORCE_VERTEX_LIMIT = 20
@@ -145,7 +147,7 @@ def brute_force_pseudo_intents(ctx: FormalContext) -> list[AttributeSet]:
     closures: dict[int, int] = {}  # pseudo-intents found so far -> closure
 
     def pseudo(s: int, _found: list[int]) -> bool:
-        closed = _closure_mask(ctx, s)
+        closed = closure(ctx, IndexSet.from_mask(n, s)).mask
         if closed == s or not all(
                 not (q != s and q & ~s == 0) or (qc != s and qc & ~s == 0)
                 for q, qc in closures.items()):
@@ -154,6 +156,46 @@ def brute_force_pseudo_intents(ctx: FormalContext) -> list[AttributeSet]:
         return True
 
     return sorted_sets(n, _scan_subsets(n, pseudo))
+
+
+def next_closure_stem(ctx: FormalContext) -> list[tuple[int, int]]:
+    """Reference: the stem base's (pseudo-intent mask, conclusion mask)
+    pairs in lectic order, attribute 0 most significant, by Next-Closure
+    over the sets closed under strict application of the implications
+    found so far. Each candidate's strict closure scans every implication
+    found so far, round after round, and stops at the first added
+    attribute more significant than the candidate's position. No size
+    guard: its cost grows with the intents, not with ``2**n``.
+    """
+    n = ctx.n_attributes
+    full = (1 << n) - 1
+    found: list[tuple[int, int]] = []  # (pseudo-intent, its closure)
+    current = 0
+    while True:
+        closed = closure(ctx, IndexSet.from_mask(n, current)).mask
+        if closed != current:
+            found.append((current, closed))
+        if current == full:
+            break
+        for i in range(n - 1, -1, -1):
+            ibit = 1 << i
+            if current & ibit:
+                continue
+            forbidden = (ibit - 1) & ~current
+            mask = (current & (ibit - 1)) | ibit
+            grew = True
+            while grew and not mask & forbidden:
+                grew = False
+                for p, c in found:  # P -> P'' where P is a proper subset
+                    if p != mask and p & ~mask == 0 and c & ~mask:
+                        mask |= c
+                        grew = True
+                        if mask & forbidden:
+                            break
+            if not mask & forbidden:
+                current = mask
+                break
+    return [(p, c & ~p) for p, c in found]
 
 
 def close_once(base: ImplicationBase, x: AttributeSet) -> AttributeSet:

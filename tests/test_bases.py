@@ -1,13 +1,19 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from implbases import (FormalContext, Implication, ImplicationBase, IndexSet,
-                       attribute_hypergraph, format_implications,
-                       proper_premise_base, proper_premises_of, stem_base)
+                       SingleParamSpec, attribute_hypergraph,
+                       format_implications, gen_single, proper_premise_base,
+                       proper_premises_of, stem_base)
 from implbases.bases import premises_by_attribute
+from implbases.sets import sorted_sets
 
 from conftest import random_contexts
-from oracles import (brute_force_proper_premises, brute_force_pseudo_intents,
-                     close_fixpoint, close_once, closure, implication_holds)
+from oracles import (BRUTE_FORCE_PSEUDO_INTENT_LIMIT,
+                     brute_force_proper_premises, brute_force_pseudo_intents,
+                     close_fixpoint, close_once, closure, implication_holds,
+                     next_closure_stem)
 
 
 def members(family):
@@ -254,6 +260,54 @@ def test_single_attribute_degenerate_contexts():
     base = stem_base(ctx)
     assert len(base) == 1 and base.implications[0].premise.members == ()
     assert base.implications[0].conclusion.members == (0,)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.7])
+def test_stem_base_matches_next_closure_past_brute_force(p):
+    # n = 13..22 attributes, beyond the brute-force oracle; the pairs
+    # and their lectic order must be the reference's exactly
+    assert BRUTE_FORCE_PSEUDO_INTENT_LIMIT < 13
+    for n in range(13, 23):
+        for objects in (n // 2 + 3, n):
+            ctx = gen_single(SingleParamSpec(objects, n, p,
+                                             seed=1000 * n + objects))
+            assert stem_base(ctx).mask_pairs() == next_closure_stem(ctx)
+
+
+@st.composite
+def small_contexts(draw, max_objects=12, max_attributes=10):
+    n = draw(st.integers(min_value=0, max_value=max_attributes))
+    m = draw(st.integers(min_value=0, max_value=max_objects))
+    rows = draw(st.lists(st.integers(min_value=0, max_value=(1 << n) - 1),
+                         min_size=m, max_size=m))
+    return FormalContext.from_row_masks(m, n, rows)
+
+
+@given(small_contexts())
+@settings(max_examples=200, deadline=None)
+def test_stem_base_matches_next_closure_and_brute_force(ctx):
+    pairs = stem_base(ctx).mask_pairs()
+    assert pairs == next_closure_stem(ctx)
+    premises = sorted_sets(ctx.n_attributes, (p for p, _ in pairs))
+    assert premises == brute_force_pseudo_intents(ctx)
+
+
+def _contranominal(n):
+    full = (1 << n) - 1
+    return FormalContext.from_row_masks(n, n, [full ^ 1 << a for a in range(n)])
+
+
+@pytest.mark.parametrize("ctx, expected", [
+    (FormalContext.from_row_masks(0, 0, []), []),
+    (FormalContext.from_row_masks(3, 0, [0, 0, 0]), []),
+    (FormalContext.from_row_masks(0, 5, []), [(0, 0b11111)]),
+    (FormalContext.from_row_masks(4, 6, [0b111111] * 4), [(0, 0b111111)]),
+    (_contranominal(7), []),
+], ids=["no-attributes-no-objects", "no-attributes", "no-objects",
+        "full-relation", "contranominal"])
+def test_stem_base_edge_contexts(ctx, expected):
+    assert stem_base(ctx).mask_pairs() == expected
+    assert next_closure_stem(ctx) == expected
 
 
 # -- text format ------------------------------------------------------------------

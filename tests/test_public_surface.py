@@ -1,6 +1,7 @@
 """The package's public names, and the line between the program and
 the test suite's reference implementations."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -46,3 +47,25 @@ def test_importing_the_cli_loads_nothing_from_the_tests():
     assert any(f.endswith(os.path.join("implbases", "cli.py")) for f in loaded)
     assert not [f for f in loaded
                 if os.path.commonpath([f, tests_dir]) == tests_dir]
+
+
+def test_oracles_import_no_private_engine_name():
+    # the reference implementations must not share the engine's private
+    # kernels (such as the closure the stem base runs): a fault there
+    # would hide from the tests that compare the two
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "oracles.py")
+    with open(path, encoding="utf-8") as f:
+        tree = ast.parse(f.read(), path)
+    private = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        private += [name for name in names
+                    if name.split(".")[0] == "implbases"
+                    and any(part.startswith("_") for part in name.split(".")[1:])]
+    assert not private, private
