@@ -89,10 +89,14 @@ def minimal_transversals(h: Hypergraph) -> list[IndexSet]:
 
 def _minimize_masks(masks: Sequence[int]) -> list[int]:
     """Deduplicated inclusion-minimal subfamily."""
-    ordered = sorted(set(masks), key=lambda m: (m.bit_count(), m))
+    ordered = sorted(set(masks))
+    ordered.sort(key=int.bit_count)  # stable: by size, then by mask
     kept: list[int] = []
     for m in ordered:
-        if not any(k & m == k for k in kept):
+        for k in kept:
+            if k & m == k:
+                break
+        else:
             kept.append(m)
     return kept
 

@@ -12,6 +12,11 @@ Randomness: PCG64, one substream per column derived as
 output independent of evaluation order and let both models share one
 stream-derivation rule, so a multi spec with no U and no R produces the
 same context, bit for bit, as the single model at ``p = f_prob``.
+The sampler does not build those numpy objects per column: it computes
+every column's PCG64 starting state in one pass, with SeedSequence's and
+PCG64's own seeding arithmetic, and draws each column from one reused
+generator set to that state; a test pins the sampled contexts to those
+of numpy's own per-column objects.
 The draws of all columns fill one attribute x object matrix, compared
 once against the column probabilities; the context's row and column
 masks are both packed from it.
@@ -139,22 +144,125 @@ def _packed_masks(crosses: np.ndarray) -> list[int]:
             for i in range(0, len(data), width)]
 
 
+# The seeding constants of numpy's SeedSequence (INIT_A, MULT_A, INIT_B,
+# MULT_B, MIX_MULT_L, MIX_MULT_R and XSHIFT = 16 in
+# numpy/random/bit_generator.pyx) and PCG64's 128-bit LCG multiplier
+# (PCG_DEFAULT_MULTIPLIER_128 in numpy/random/src/pcg64/pcg64.h).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_consts(h: int, mult: int, count: int) -> np.ndarray:
+    """`count` successive hash constants from `h`, each the last times
+    `mult` mod 2**32, as a uint32 row."""
+    out = []
+    for _ in range(count):
+        out.append(h)
+        h = h * mult & _MASK32
+    return np.array(out, dtype=np.uint32)
+
+
+# generate_state's hash constant before and after each of its 8 words
+_STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 9)
+
+
+def _seed_pool(seed: int) -> tuple[list[int], int]:
+    """SeedSequence's 4-word pool after mixing in `seed` and no spawn
+    key yet, with the hash constant that the spawn key's mixing starts
+    from. The entropy is the seed's little-endian uint32 words, padded
+    with zeros to 4 because a spawn key follows; the first 4 fill the
+    pool, which then mixes with itself, and any later word is mixed into
+    every pool word."""
+    words = []
+    while True:
+        words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    words += [0] * (4 - len(words))
+    h = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal h
+        value ^= h
+        h = h * _MULT_A & _MASK32
+        value = value * h & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(w) for w in words[:4]]
+    for i_src in range(4):
+        for i_dst in range(4):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for w in words[4:]:
+        for i_dst in range(4):
+            pool[i_dst] = mix(pool[i_dst], hashmix(w))
+    return pool, h
+
+
+def _column_states(seed: int, n_attributes: int) -> list[tuple[int, int]]:
+    """The ``(state, inc)`` pair of ``PCG64(SeedSequence(seed,
+    spawn_key=(a,))).state`` for each column ``a < n_attributes``.
+
+    The seed's pool is the same for every column and is mixed once. The
+    rest runs on uint32 arrays over the columns, whose products wrap
+    without a warning: each spawn key, one word (a column index is below
+    2**32; more columns would not fit in memory), is hashed into every
+    pool word, and the pool into the 8 words of
+    ``generate_state(4, uint64)``. PCG64 seeds from those, in 128-bit
+    ints, with ``inc = 2 * seq + 1`` and
+    ``state = ((inc + init) * M + inc) mod 2**128``."""
+    pool, h = _seed_pool(seed)
+    spawn = _hash_consts(h, _MULT_A, 5)
+    a = np.arange(n_attributes, dtype=np.uint32).reshape(-1, 1)
+    hashed = (a ^ spawn[:4]) * spawn[1:]  # hashmix(a), once per pool word
+    hashed ^= hashed >> 16
+    hashed *= np.uint32(_MIX_MULT_R)  # mix(pool word, hashmix(a))
+    mixed = np.array([_MIX_MULT_L * w & _MASK32 for w in pool],
+                     dtype=np.uint32) - hashed
+    mixed ^= mixed >> 16
+    words = np.concatenate((mixed, mixed), axis=1)  # cycles the pool
+    words ^= _STATE_CONSTS[:8]
+    words *= _STATE_CONSTS[1:]
+    words ^= words >> 16
+    states = []
+    # generate_state joins its words in little-endian pairs into uint64s
+    for init_hi, init_lo, seq_hi, seq_lo in (
+            words.astype("<u4", copy=False).view("<u8").tolist()):
+        inc = (seq_hi << 65 | seq_lo << 1 | 1) & _MASK128
+        states.append((((inc + (init_hi << 64 | init_lo)) * _PCG_MULT + inc)
+                       & _MASK128, inc))
+    return states
+
+
 def _sample_columns(n_objects: int, n_attributes: int,
                     probs: list[float], seed: int) -> FormalContext:
     """Column `a` is drawn from its own stream, seeded by
     ``SeedSequence(seed, spawn_key=(a,))``: object `o` has `a` when
-    draw `o` is below ``probs[a]``. The draws fill one attribute x
-    object matrix, compared once against the probabilities; the column
-    and row masks are its rows and its columns, packed."""
+    draw `o` is below ``probs[a]``. One generator draws every column,
+    set to that stream's starting state first. The draws fill one
+    attribute x object matrix, compared once against the probabilities;
+    the column and row masks are its rows and its columns, packed."""
     check_sample_size(n_objects, n_attributes)
     try:
         draws = np.empty((n_attributes, n_objects))
     except MemoryError:
         raise SampleTooLarge(_TOO_LARGE) from None
-    for a in range(n_attributes):
-        np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(seed, spawn_key=(a,)))).random(
-                n_objects, out=draws[a])
+    bit_generator = np.random.PCG64(0)  # every column sets its state
+    generator = np.random.Generator(bit_generator)
+    for a, (state, inc) in enumerate(_column_states(seed, n_attributes)):
+        bit_generator.state = {"bit_generator": "PCG64",
+                               "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
+        generator.random(n_objects, out=draws[a])
     crosses = draws < np.array(probs, dtype=float).reshape(-1, 1)
     return FormalContext._from_checked_masks(
         n_objects, n_attributes, _packed_masks(crosses.T),

@@ -6,9 +6,11 @@ record mapping and the sweep loop were consolidated, the stem-base pins
 on 20 x 20 contexts before the Next-Closure loop of ``stem_base`` was
 folded into one, the 30 x 30 proper-premise and 12 x 12 two-base pins
 before the base came to be ordered on mask-derived keys and its JSON
-written by the CLI's own renderer, and the two ``gen`` pins before
-every generator spec came to be built by ``randctx.spec_from_cell``, so
-any change to the bytes those paths write shows up here. The bound and sweep pins that
+written by the CLI's own renderer, the ``gen_single`` and ``gen_multi``
+pins before every generator spec came to be built by
+``randctx.spec_from_cell``, and the ``gen`` pin at seed 2**200 + 3 before
+the sampler came to compute its column seeds itself instead of building
+numpy's objects per column, so any change to the bytes those paths write shows up here. The bound and sweep pins that
 carry bound columns or refused rows were re-recorded when the bounds
 came to read p itself (not ``1 - (1 - p)``) and a sweep trial came to be
 refused only by its size guards, before any work. The stem base's JSON
@@ -104,6 +106,10 @@ RUNS = {
     "gen_multi": [("gen", "--model", "multi", "--objects", "12", "--attributes",
                    "9", "--u-size", "2", "--r-size", "3", "--x", "2.5",
                    "--f-prob", "0.3", "--seed", "31")],
+    # a seed of 7 uint32 words, past SeedSequence's 4-word pool, and
+    # more attributes than one 64-bit word holds
+    "gen_single_seed_2p200": [("gen", "--objects", "12", "--attributes", "70",
+                               "--p", "0.4", "--seed", str(2 ** 200 + 3))],
 }
 
 EXPECTED = {
@@ -132,6 +138,7 @@ EXPECTED = {
     "compute_both_g12_seed7_json": (0, "d2a6b040c15484ff39192ef85e029b09bc8c0ade3d04d9e08018cb8d142dc8fe"),
     "gen_single": (0, "b7954cda7784644cdff71ff2a3d0ea34760688a19b6e29f78f7f566c0cec1f47"),
     "gen_multi": (0, "5031efe953f65a159298cd17caa8b86ca73b321084e514f30f056ac27e69578b"),
+    "gen_single_seed_2p200": (0, "f9e881c3681f8dbb16896557a87c1aaf3f4975b6382b9e1795da21bb6919e16b"),
 }
 
 

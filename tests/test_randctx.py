@@ -133,13 +133,21 @@ def _per_column_masks(n_objects, n_attributes, probs, seed):
     return tuple(rows), tuple(cols)
 
 
-@pytest.mark.parametrize("objects, attributes, p", [
-    (0, 0, 0.5), (0, 7, 0.5), (9, 0, 0.5),
-    (17, 63, 0.5), (17, 64, 0.3), (17, 65, 0.7), (70, 65, 0.5),
-    (12, 9, 0.0), (12, 9, 1.0),
-])
-def test_sampler_matches_per_column_streams(objects, attributes, p):
-    seed = 2 ** 90 + 12345
+# seeds of 1, 2, 3, 4 and more than 4 uint32 words: SeedSequence pads a
+# seed shorter than its 4-word pool and mixes any later word in afterwards
+SEEDS = [2 ** 90 + 12345, 0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1,
+         2 ** 128 - 1, 2 ** 128, 2 ** 200 + 3]
+SHAPES = [(0, 0, 0.5), (0, 7, 0.5), (9, 0, 0.5),
+          (17, 63, 0.5), (17, 64, 0.3), (17, 65, 0.7), (70, 65, 0.5),
+          (12, 9, 0.0), (12, 9, 1.0)]
+
+
+# a test id names the shape, and the seed unless it is the first one
+@pytest.mark.parametrize("objects, attributes, p, seed", [
+    pytest.param(*shape, seed, id="-".join(map(str, shape))
+                 + (f"-{seed}" if seed != SEEDS[0] else ""))
+    for seed in SEEDS for shape in SHAPES])
+def test_sampler_matches_per_column_streams(objects, attributes, p, seed):
     ctx = gen_single(SingleParamSpec(objects, attributes, p, seed=seed))
     assert (ctx.row_masks, ctx.column_masks) == _per_column_masks(
         objects, attributes, [p] * attributes, seed)
