@@ -12,11 +12,13 @@ Randomness: PCG64, one substream per column derived as
 output independent of evaluation order and let both models share one
 stream-derivation rule, so a multi spec with no U and no R produces the
 same context, bit for bit, as the single model at ``p = f_prob``.
-The sampler does not build those numpy objects per column: it computes
-every column's PCG64 starting state in one pass, with SeedSequence's and
-PCG64's own seeding arithmetic, and draws each column from one reused
-generator set to that state; a test pins the sampled contexts to those
-of numpy's own per-column objects.
+The sampler does not build those numpy objects per column. It builds
+one ``SeedSequence(seed)`` per context, whose pool every column's spawn
+key is mixed into and which seeds the one reused PCG64; it computes
+every column's starting state from that pool in one pass, with
+SeedSequence's and PCG64's own seeding arithmetic, and draws each column
+from the generator set to that state. Tests pin the states and the
+sampled contexts to those of numpy's own per-column objects.
 The draws of all columns fill one attribute x object matrix, compared
 once against the column probabilities; the context's row and column
 masks are both packed from it.
@@ -170,49 +172,17 @@ def _hash_consts(h: int, mult: int, count: int) -> np.ndarray:
 _STATE_CONSTS = _hash_consts(_INIT_B, _MULT_B, 9)
 
 
-def _seed_pool(seed: int) -> tuple[list[int], int]:
-    """SeedSequence's 4-word pool after mixing in `seed` and no spawn
-    key yet, with the hash constant that the spawn key's mixing starts
-    from. The entropy is the seed's little-endian uint32 words, padded
-    with zeros to 4 because a spawn key follows; the first 4 fill the
-    pool, which then mixes with itself, and any later word is mixed into
-    every pool word."""
-    words = []
-    while True:
-        words.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
-    words += [0] * (4 - len(words))
-    h = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal h
-        value ^= h
-        h = h * _MULT_A & _MASK32
-        value = value * h & _MASK32
-        return value ^ value >> 16
-
-    def mix(x: int, y: int) -> int:
-        result = _MIX_MULT_L * x - _MIX_MULT_R * y & _MASK32
-        return result ^ result >> 16
-
-    pool = [hashmix(w) for w in words[:4]]
-    for i_src in range(4):
-        for i_dst in range(4):
-            if i_src != i_dst:
-                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
-    for w in words[4:]:
-        for i_dst in range(4):
-            pool[i_dst] = mix(pool[i_dst], hashmix(w))
-    return pool, h
-
-
-def _column_states(seed: int, n_attributes: int) -> list[tuple[int, int]]:
+def _column_states(seq: np.random.SeedSequence,
+                   n_attributes: int) -> list[tuple[int, int]]:
     """The ``(state, inc)`` pair of ``PCG64(SeedSequence(seed,
-    spawn_key=(a,))).state`` for each column ``a < n_attributes``.
+    spawn_key=(a,))).state`` for each column ``a < n_attributes``, where
+    `seq` is ``SeedSequence(seed)``.
 
-    The seed's pool is the same for every column and is mixed once. The
+    A column's pool is ``seq.pool`` with its spawn key mixed in: a seed
+    shorter than the 4-word pool hashes as zero words with or without a
+    key, and words past the fourth are mixed in before the key. The
+    key's mixing starts from the hash constant that the seed's left,
+    ``INIT_A`` after 16 steps and 4 more per word past the fourth. The
     rest runs on uint32 arrays over the columns, whose products wrap
     without a warning: each spawn key, one word (a column index is below
     2**32; more columns would not fit in memory), is hashed into every
@@ -220,14 +190,14 @@ def _column_states(seed: int, n_attributes: int) -> list[tuple[int, int]]:
     ``generate_state(4, uint64)``. PCG64 seeds from those, in 128-bit
     ints, with ``inc = 2 * seq + 1`` and
     ``state = ((inc + init) * M + inc) mod 2**128``."""
-    pool, h = _seed_pool(seed)
+    extra_words = max(0, -(-int(seq.entropy).bit_length() // 32) - 4)
+    h = pow(_MULT_A, 16 + 4 * extra_words, 1 << 32) * _INIT_A & _MASK32
     spawn = _hash_consts(h, _MULT_A, 5)
     a = np.arange(n_attributes, dtype=np.uint32).reshape(-1, 1)
     hashed = (a ^ spawn[:4]) * spawn[1:]  # hashmix(a), once per pool word
     hashed ^= hashed >> 16
     hashed *= np.uint32(_MIX_MULT_R)  # mix(pool word, hashmix(a))
-    mixed = np.array([_MIX_MULT_L * w & _MASK32 for w in pool],
-                     dtype=np.uint32) - hashed
+    mixed = seq.pool * np.uint32(_MIX_MULT_L) - hashed
     mixed ^= mixed >> 16
     words = np.concatenate((mixed, mixed), axis=1)  # cycles the pool
     words ^= _STATE_CONSTS[:8]
@@ -247,18 +217,21 @@ def _sample_columns(n_objects: int, n_attributes: int,
                     probs: list[float], seed: int) -> FormalContext:
     """Column `a` is drawn from its own stream, seeded by
     ``SeedSequence(seed, spawn_key=(a,))``: object `o` has `a` when
-    draw `o` is below ``probs[a]``. One generator draws every column,
-    set to that stream's starting state first. The draws fill one
-    attribute x object matrix, compared once against the probabilities;
-    the column and row masks are its rows and its columns, packed."""
+    draw `o` is below ``probs[a]``. One ``SeedSequence(seed)`` gives
+    every column's pool and seeds the one generator that draws every
+    column, set to that column's starting state first. The draws fill
+    one attribute x object matrix, compared once against the
+    probabilities; the column and row masks are its rows and its
+    columns, packed."""
     check_sample_size(n_objects, n_attributes)
     try:
         draws = np.empty((n_attributes, n_objects))
     except MemoryError:
         raise SampleTooLarge(_TOO_LARGE) from None
-    bit_generator = np.random.PCG64(0)  # every column sets its state
+    seq = np.random.SeedSequence(seed)
+    bit_generator = np.random.PCG64(seq)  # every column sets its state
     generator = np.random.Generator(bit_generator)
-    for a, (state, inc) in enumerate(_column_states(seed, n_attributes)):
+    for a, (state, inc) in enumerate(_column_states(seq, n_attributes)):
         bit_generator.state = {"bit_generator": "PCG64",
                                "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}

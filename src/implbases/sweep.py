@@ -104,8 +104,15 @@ class SweepSpec:
             raise ValueError("trials must be >= 1")
         check_finite("c", self.c)
         check_finite("c2", self.c2)
+        seen = set()
         for cell in self.cells():  # model and bound refusals, before any trial
             _cell_bounds(self, cell)
+            # a repeated cell would rerun its trial seeds as another cell
+            key = tuple(cell.values())
+            if key in seen:
+                raise ValueError("grid repeats a cell: " + ", ".join(
+                    f"{k}={v!r}" for k, v in cell.items() if k != "model"))
+            seen.add(key)
 
     def cells(self) -> list[dict]:
         """Grid cells in deterministic enumeration order (the last
@@ -234,24 +241,26 @@ def run_sweep(spec: SweepSpec, workers: int = 1) -> list[TrialRecord]:
     do not depend on ``workers``. An exception inside a trial is
     re-raised here with its type and text, and every child has exited
     before this returns or raises. With one worker, one trial, or no
-    ``os.fork``, the trials run one after another in this process.
+    ``os.fork``, no child is forked: this process runs every trial, one
+    after another.
     """
     check_workers(workers)
     jobs = [(ci, params, t) for ci, params in enumerate(spec.cells())
             for t in range(spec.trials)]
-    workers = min(workers, len(jobs))
-    if workers > 1 and hasattr(os, "fork"):
-        # run_trial is looked up per call, so a wrapped run_trial serves
-        # this process's share as well as the children's
-        return _fork_map(lambda job: run_trial(spec, *job), jobs, workers)
-    return [run_trial(spec, *job) for job in jobs]
+    if not hasattr(os, "fork"):
+        workers = 1
+    # run_trial is looked up per call, so a wrapped run_trial serves
+    # this process's share as well as the children's
+    return _fork_map(lambda job: run_trial(spec, *job), jobs,
+                     min(workers, len(jobs)))
 
 
 def _fork_map(fn: Callable, items: list, workers: int) -> list:
     """``[fn(item) for item in items]``, computed by this process
     (``items[0::workers]``) and ``workers - 1`` forked children (child k
     runs ``items[k::workers]``), each of which sends its results back
-    pickled over a pipe of its own. Fork, not spawn: the children inherit
+    pickled over a pipe of its own; with one worker, that is the plain
+    loop, with no child and no pipe. Fork, not spawn: the children inherit
     ``fn`` unpickled, and a spawned process costs 20-30x more, a large
     share of a short sweep. The BLAS threads numpy starts stop themselves
     at fork, so unless the caller runs threads of its own, no other

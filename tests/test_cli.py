@@ -361,6 +361,23 @@ def test_sweep_refuses_a_grid_the_model_refuses(args, message):
     assert proc.stderr.decode() == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("args, shown", [
+    (("--objects", "5,5", "--attributes", "5"),
+     "objects=5, attributes=5, p=0.5"),
+    (("--objects", "5", "--attributes", "5", "--p", "0.5,0.5"),
+     "objects=5, attributes=5, p=0.5"),
+    (("--model", "multi", "--objects", "5", "--attributes", "5",
+      "--u-size", "1,1"),
+     "objects=5, attributes=5, u_size=1, r_size=0, x=2.0, f_prob=0.5"),
+])
+def test_sweep_refuses_a_repeated_cell_before_out(args, shown, tmp_path):
+    out = tmp_path / "dup.csv"
+    proc = run_cli("sweep", *args, "--out", str(out), expect_code=2)
+    assert_one_error_line(proc)
+    assert proc.stderr.decode() == f"error: grid repeats a cell: {shown}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ("gen", "--objects", "6", "--attributes", "5", "--seed", "1"),
     ("sweep", "--objects", "6", "--attributes", "5", "--seed", "1"),

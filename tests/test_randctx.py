@@ -5,6 +5,7 @@ import pytest
 
 from implbases import (MultiParamSpec, SingleParamSpec, effective_probabilities,
                        gen_multi, gen_single, write_burmeister)
+from implbases.randctx import _column_states
 
 
 def test_spec_validation():
@@ -151,6 +152,18 @@ def test_sampler_matches_per_column_streams(objects, attributes, p, seed):
     ctx = gen_single(SingleParamSpec(objects, attributes, p, seed=seed))
     assert (ctx.row_masks, ctx.column_masks) == _per_column_masks(
         objects, attributes, [p] * attributes, seed)
+
+
+# 0 and 1, then both sides of each 32-bit boundary: 1 to 10 uint32 words
+@pytest.mark.parametrize("seed", [0, 1] + [
+    seed for k in range(1, 10) for seed in (2 ** (32 * k) - 1, 2 ** (32 * k))])
+def test_column_states_match_numpy_for_every_seed_width(seed):
+    expected = []
+    for a in range(4):
+        state = np.random.PCG64(
+            np.random.SeedSequence(seed, spawn_key=(a,))).state["state"]
+        expected.append((state["state"], state["inc"]))
+    assert _column_states(np.random.SeedSequence(seed), 4) == expected
 
 
 @pytest.mark.parametrize("spec", [

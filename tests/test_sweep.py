@@ -371,6 +371,31 @@ def test_spec_refuses_a_grid_the_model_refuses(overrides, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("overrides, shown", [
+    (dict(objects=(5, 5)), "objects=5, attributes=5, p=0.5"),
+    (dict(attributes=(4, 5, 4)), "objects=5, attributes=4, p=0.5"),
+    (dict(p_values=(0.5, 0.3, 0.5)), "objects=5, attributes=5, p=0.5"),
+    (dict(p_values=(0.0, -0.0)), "objects=5, attributes=5, p=-0.0"),
+    (dict(model="multi", u_sizes=(1, 1)),
+     "objects=5, attributes=5, u_size=1, r_size=0, x=2.0, f_prob=0.5"),
+    (dict(model="multi", r_sizes=(0, 2, 2)),
+     "objects=5, attributes=5, u_size=0, r_size=2, x=2.0, f_prob=0.5"),
+])
+def test_spec_refuses_a_grid_that_repeats_a_cell(overrides, shown):
+    """Its trials would share their seeds with the first copy's."""
+    with pytest.raises(ValueError) as info:
+        small_spec(**overrides)
+    assert str(info.value) == f"grid repeats a cell: {shown}"
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(u_sizes=(1, 1), r_sizes=(0, 0), x=2.0),
+    dict(model="multi", p_values=(0.5, 0.5)),
+])
+def test_an_axis_the_model_does_not_read_is_not_checked(overrides):
+    assert len(small_spec(**overrides).cells()) == 1
+
+
 def test_spec_from_cell_matches_hand_built_specs():
     """Every cell of the SINGLE and MULTI sweep grids pinned in
     test_output_bytes.py maps to the spec written out by hand."""
@@ -552,6 +577,19 @@ def test_system_exit_in_a_child_never_returns_into_the_caller(
     assert raised.type is RuntimeError
     assert "with exit status 1 and sent no result" in str(raised.value)
     assert log.read_text(encoding="ascii").split() == [str(os.getpid())]
+
+
+def test_without_fork_every_trial_runs_in_this_process(
+        monkeypatch, tmp_path, leaves_nothing):
+    spec = small_spec(**POOL_GRID)
+    serial = run_sweep(spec, workers=1)
+    log = tmp_path / "pids"
+    log_trial_pids(monkeypatch, log)
+    monkeypatch.delattr(os, "fork")
+    assert_same_records(serial, run_sweep(spec, workers=3))
+    pids = {line.split(" ", 1)[0]
+            for line in log.read_text(encoding="ascii").splitlines()}
+    assert pids == {str(os.getpid())}
 
 
 def test_pooled_sweep_warns_nothing():
