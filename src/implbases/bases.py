@@ -21,14 +21,14 @@ whatever the number of implications; each round fires every applicable
 implication, and the candidate stops after the first round that fails
 the lectic test. Its premises are exactly the pseudo-intents.
 
-An ``ImplicationBase`` holds (premise mask, conclusion mask) pairs.
-Its one constructor takes those pairs and checks the invariants of
-``Implication`` and of the base on the masks, with their texts;
-``Implication`` objects are made only when a caller iterates the base
-or asks for ``implications``, and ``format_implications`` reads the
-masks. ``format_implications`` computes each premise's member tuple
-once and each distinct conclusion's once, and sorts the text lines on
-them.
+An ``ImplicationBase``, a frozen slotted dataclass like ``Implication``,
+holds (premise mask, conclusion mask) pairs. Its one constructor takes
+those pairs and checks the invariants of ``Implication`` and of the base
+on the masks, with their texts; copies and unpickled bases go through it
+too; ``Implication`` objects are made only when a caller iterates the
+base or asks for ``implications``, and ``format_implications`` reads the
+masks. ``format_implications`` computes each premise's member tuple once
+and each distinct conclusion's once, and sorts the text lines on them.
 
 The test suite checks both constructions against brute-force oracles
 (``tests/oracles.py``): a scan of all attribute subsets for the proper
@@ -76,15 +76,20 @@ class Implication:
         return f"Implication({p or '∅'} -> {c})"
 
 
+@dataclass(frozen=True, slots=True, repr=False, init=False)
 class ImplicationBase:
     """Ordered implication collection tagged with its construction.
 
     Held as one tuple of (premise mask, conclusion mask) pairs: the
     ``Implication`` objects of ``implications`` and of iteration are
-    made when a caller asks for them.
+    made when a caller asks for them. A frozen slotted dataclass, equal
+    and hashed by (pairs, kind, n_attributes); copied and unpickled
+    through its checked constructor.
     """
 
-    __slots__ = ("_pairs", "kind", "n_attributes")
+    _pairs: tuple[tuple[int, int], ...]
+    kind: str
+    n_attributes: int
 
     def __init__(self, pairs: Iterable[tuple[int, int]], kind: str,
                  n_attributes: int) -> None:
@@ -108,9 +113,6 @@ class ImplicationBase:
         object.__setattr__(self, "_pairs", pairs)
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "n_attributes", n_attributes)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("ImplicationBase is immutable")
 
     @property
     def implications(self) -> tuple[Implication, ...]:
@@ -140,15 +142,6 @@ class ImplicationBase:
     def pair_count(self) -> int:
         """Premise -> single-attribute pairs, i.e. summed conclusion sizes."""
         return sum(c.bit_count() for _, c in self._pairs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ImplicationBase):
-            return NotImplemented
-        return ((self._pairs, self.kind, self.n_attributes)
-                == (other._pairs, other.kind, other.n_attributes))
-
-    def __hash__(self) -> int:
-        return hash((self._pairs, self.kind, self.n_attributes))
 
     def __reduce__(self):  # copy and pickle through the checked constructor
         return (ImplicationBase, (self._pairs, self.kind, self.n_attributes))

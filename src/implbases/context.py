@@ -3,11 +3,13 @@
 A context is held as two views of one incidence relation, the
 attribute mask of every object (its row) and the object mask of every
 attribute (its column); the bases and the random model read and build
-these views directly.
+these views directly. ``FormalContext`` is a frozen slotted dataclass,
+equal and hashed by its dimensions and rows.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 
@@ -15,18 +17,25 @@ def _default_names(prefix: str, count: int) -> tuple[str, ...]:
     return tuple(f"{prefix}{i + 1}" for i in range(count))
 
 
+@dataclass(frozen=True, slots=True, repr=False, init=False)
 class FormalContext:
-    """Immutable object/attribute incidence relation.
+    """Object/attribute incidence relation.
 
     Rows and columns are materialised as bitmasks at construction, so
     deriving in either direction intersects masks.
     Duplicate rows are allowed (random models can produce them).
     Objects and attributes are identified by dense indices; `object_names`
-    and `attribute_names` are presentation-layer labels only.
+    and `attribute_names` are presentation-layer labels only. Equality
+    and hash read (n_objects, n_attributes, row_masks): the columns
+    follow from the rows, and the names are not part of the relation.
     """
 
-    __slots__ = ("n_objects", "n_attributes", "_rows", "_cols",
-                 "object_names", "attribute_names")
+    n_objects: int
+    n_attributes: int
+    row_masks: tuple[int, ...]
+    column_masks: tuple[int, ...] = field(compare=False)
+    object_names: tuple[str, ...] = field(compare=False)
+    attribute_names: tuple[str, ...] = field(compare=False)
 
     def __init__(
         self,
@@ -105,35 +114,10 @@ class FormalContext:
             raise ValueError("name sequences must match context dimensions")
         object.__setattr__(self, "n_objects", n_objects)
         object.__setattr__(self, "n_attributes", n_attributes)
-        object.__setattr__(self, "_rows", tuple(rows))
-        object.__setattr__(self, "_cols", tuple(cols))
+        object.__setattr__(self, "row_masks", tuple(rows))
+        object.__setattr__(self, "column_masks", tuple(cols))
         object.__setattr__(self, "object_names", tuple(object_names))
         object.__setattr__(self, "attribute_names", tuple(attribute_names))
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("FormalContext is immutable")
-
-    # -- views -------------------------------------------------------------
-
-    @property
-    def row_masks(self) -> tuple[int, ...]:
-        return self._rows
-
-    @property
-    def column_masks(self) -> tuple[int, ...]:
-        return self._cols
-
-    # -- identity ------------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FormalContext):
-            return NotImplemented
-        return (self.n_objects == other.n_objects
-                and self.n_attributes == other.n_attributes
-                and self._rows == other._rows)
-
-    def __hash__(self) -> int:
-        return hash((self.n_objects, self.n_attributes, self._rows))
 
     def __repr__(self) -> str:
         return f"FormalContext({self.n_objects} objects, {self.n_attributes} attributes)"

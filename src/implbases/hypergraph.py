@@ -11,6 +11,9 @@ transversal per unblocked candidate, so the search pushes no node for
 it. Inner loops work on raw bitmasks and return families in no fixed
 order; the public functions sort at the boundary (``sets.sorted_sets``).
 
+A ``Hypergraph`` is a frozen slotted dataclass over ``IndexSet`` edges,
+made at the API boundary only.
+
 Degenerate inputs are distinguished deliberately: a hypergraph with no
 edges has the single (vacuous) minimal transversal ``{}``, while a
 hypergraph containing an empty edge has none at all.
@@ -21,23 +24,27 @@ vertex subsets (``tests/oracles.py``), which shares no code with it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .sets import IndexSet, sorted_sets
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Hypergraph:
-    """Finite edge family over vertices ``0..vertex_count-1``."""
+    """Finite edge family over vertices ``0..vertex_count-1``: a frozen
+    slotted dataclass, equal and hashed by (vertex_count, edges). The
+    edges, any iterable of index sets, are kept as a tuple."""
 
-    __slots__ = ("vertex_count", "edges")
+    vertex_count: int
+    edges: tuple[IndexSet, ...]
 
-    def __init__(self, vertex_count: int, edges: Iterable[IndexSet]) -> None:
-        edges = tuple(edges)
+    def __post_init__(self) -> None:
+        edges, n = tuple(self.edges), self.vertex_count
         for e in edges:
-            if e.universe != vertex_count:
+            if e.universe != n:
                 raise ValueError(
-                    f"edge universe {e.universe} != vertex count {vertex_count}")
-        object.__setattr__(self, "vertex_count", vertex_count)
+                    f"edge universe {e.universe} != vertex count {n}")
         object.__setattr__(self, "edges", edges)
 
     @classmethod
@@ -45,21 +52,9 @@ class Hypergraph:
         return cls(vertex_count,
                    (IndexSet.from_mask(vertex_count, m) for m in masks))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Hypergraph is immutable")
-
     @property
     def edge_masks(self) -> tuple[int, ...]:
         return tuple(e.mask for e in self.edges)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Hypergraph):
-            return NotImplemented
-        return (self.vertex_count == other.vertex_count
-                and self.edges == other.edges)
-
-    def __hash__(self) -> int:
-        return hash((self.vertex_count, self.edges))
 
     def __repr__(self) -> str:
         return f"Hypergraph({self.vertex_count}, {len(self.edges)} edges)"

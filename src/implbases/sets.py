@@ -3,22 +3,28 @@
 The package's public sets (attribute sets, hypergraph edges,
 implication premises and conclusions) are these; inner loops run on the
 raw masks and wrap results only at the API boundary. Elements are dense
-integer indices ``0..universe-1``.
+integer indices ``0..universe-1``. An ``IndexSet`` is a frozen slotted
+dataclass, like the package's other value types: equal, hashed,
+pickled and copied by its fields.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
+@dataclass(frozen=True, slots=True, repr=False, init=False)
 class IndexSet:
-    """Immutable subset of ``{0, ..., universe-1}``.
+    """Subset of ``{0, ..., universe-1}``, held as the bitmask ``mask``;
+    equal and hashed by (universe, mask).
 
     A subset test requires both operands to share the same universe
     size; mixing universes raises ``ValueError``.
     """
 
-    __slots__ = ("universe", "mask")
+    universe: int
+    mask: int
 
     def __init__(self, universe: int, members: Iterable[int] = ()) -> None:
         if universe < 0:
@@ -40,9 +46,6 @@ class IndexSet:
         _set_universe(s, universe)
         _set_mask(s, mask)
         return s
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("IndexSet is immutable")
 
     # -- queries ---------------------------------------------------------
 
@@ -67,16 +70,6 @@ class IndexSet:
         self._check(other)
         return self.mask & ~other.mask == 0
 
-    # -- identity --------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IndexSet):
-            return NotImplemented
-        return self.universe == other.universe and self.mask == other.mask
-
-    def __hash__(self) -> int:
-        return hash((self.universe, self.mask))
-
     def __repr__(self) -> str:
         return f"IndexSet({self.universe}, {{{', '.join(map(str, self))}}})"
 
@@ -87,7 +80,7 @@ class IndexSet:
             )
 
 
-# the slots' own setters: they bypass the refusing ``__setattr__`` and
+# the slots' own setters: they bypass the frozen ``__setattr__`` and
 # cost less than ``object.__setattr__``, which looks the name up
 _set_universe = IndexSet.universe.__set__
 _set_mask = IndexSet.mask.__set__

@@ -45,7 +45,7 @@ import os
 import pickle
 import signal
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from itertools import product
 from typing import Callable, Iterable, NoReturn, Sequence
 
@@ -58,13 +58,6 @@ from .randctx import (check_sample_size, effective_probabilities, gen_multi,
                       gen_single, spec_from_cell)
 
 CSV_SCHEMA = 1
-CSV_COLUMNS = [
-    "row", "cell", "trial", "seed", "model", "objects", "attributes", "p",
-    "u_size", "r_size", "x", "f_prob",
-    "mt_min", "mt_mean", "mt_max", "pp_pairs", "pp_premises", "stem_count",
-    "avg_exponent", "lower_exponent", "total_log10",
-    "gen_ms", "dual_ms", "stem_ms", "error",
-]
 
 DEFAULT_MAX_PROPER_ATTRIBUTES = 64
 DEFAULT_MAX_STEM_ATTRIBUTES = 24
@@ -116,15 +109,25 @@ class SweepSpec:
 
     def cells(self) -> list[dict]:
         """Grid cells in deterministic enumeration order (the last
-        parameter varies fastest)."""
+        parameter varies fastest). A signed zero in ``p``, ``x`` or
+        ``f_prob`` is read as +0.0: it is the same cell, so it gets the
+        same trial seeds and the same CSV text."""
         if self.model == "single":
-            return [{"model": "single", "objects": m, "attributes": n, "p": p}
+            return [{"model": "single", "objects": m, "attributes": n,
+                     "p": _unsigned_zero(p)}
                     for m, n, p in product(self.objects, self.attributes,
                                            self.p_values)]
+        x, f_prob = _unsigned_zero(self.x), _unsigned_zero(self.f_prob)
         return [{"model": "multi", "objects": m, "attributes": n,
-                 "u_size": u, "r_size": r, "x": self.x, "f_prob": self.f_prob}
+                 "u_size": u, "r_size": r, "x": x, "f_prob": f_prob}
                 for m, n, u, r in product(self.objects, self.attributes,
                                           self.u_sizes, self.r_sizes)]
+
+
+def _unsigned_zero(value: float) -> float:
+    """`value`, with a zero made unsigned (an int stays an int): the
+    ``repr`` that keys a cell's trial seeds tells -0.0 from 0.0."""
+    return abs(value) if value == 0 else value
 
 
 @dataclass
@@ -344,15 +347,23 @@ def _child_share(fn: Callable, share: list, read_fd: int,
 
 MEAN_FIELDS = ("mt_min", "mt_mean", "mt_max", "pp_pairs", "pp_premises",
                "stem_count")  # averaged in a cell's footer row
-RESULT_FIELDS = MEAN_FIELDS + ("avg_exponent", "lower_exponent", "total_log10")
-TIMING_FIELDS = ("gen_ms", "dual_ms", "stem_ms")
+TIMING_FIELDS = ("gen_ms", "dual_ms", "stem_ms")  # written on request
+_RECORD_FIELDS = [f.name for f in fields(TrialRecord)]
+_PARAMS = _RECORD_FIELDS.index("params")
+# a trial's position, its cell's parameters, then its results: the
+# record's fields after ``params``, in their order
+RESULT_COLUMNS = _RECORD_FIELDS[_PARAMS + 1:]
+CSV_COLUMNS = ["row", *_RECORD_FIELDS[:_PARAMS], "model", "objects",
+               "attributes", "p", "u_size", "r_size", "x", "f_prob",
+               *RESULT_COLUMNS]
 
 
 def record_fields(rec: TrialRecord, timings: bool = False) -> dict:
     """Output fields of one record: its position, cell parameters and
     results, plus wall times on request. The one mapping behind CSV
     rows (trial and cell-mean) and sweep JSON entries."""
-    names = RESULT_FIELDS + (TIMING_FIELDS if timings else ()) + ("error",)
+    names = [name for name in RESULT_COLUMNS
+             if timings or name not in TIMING_FIELDS]
     return {"cell": rec.cell, "trial": rec.trial, "seed": rec.seed,
             **rec.params, **{name: getattr(rec, name) for name in names}}
 
@@ -378,8 +389,8 @@ def render_csv(spec: SweepSpec, records: Sequence[TrialRecord],
     writer.writerow(CSV_COLUMNS)
 
     def write_row(kind: str, rec: TrialRecord, timings: bool) -> None:
-        fields = {"row": kind, **record_fields(rec, timings)}
-        writer.writerow([_fmt(fields.get(c)) for c in CSV_COLUMNS])
+        values = {"row": kind, **record_fields(rec, timings)}
+        writer.writerow([_fmt(values.get(c)) for c in CSV_COLUMNS])
 
     by_cell: dict[int, list[TrialRecord]] = {}
     for rec in records:

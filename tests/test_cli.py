@@ -615,6 +615,19 @@ def test_one_refusal_one_text(texts, tmp_path, toy_context_path):
     assert len(first.splitlines()) == 1 and first.startswith("error: ")
 
 
+@pytest.mark.parametrize("args", [
+    ("--p", "{}", "--trials", "2"),
+    ("--model", "multi", "--u-size", "2", "--x", "{}"),
+    ("--model", "multi", "--u-size", "2", "--f-prob", "{}"),
+])
+def test_a_signed_zero_is_the_same_sweep_cell(args):
+    """-0 and 0 are one value: the same cell, trial seeds and bytes."""
+    plus, minus = (run_cli("sweep", "--objects", "5", "--attributes", "5",
+                           *(arg.format(zero) for arg in args)).stdout
+                   for zero in ("0", "-0"))
+    assert minus == plus and b"-0.0" not in minus
+
+
 # Attribute names that JSON must escape: a quote, a backslash, a tab,
 # letters outside ASCII (one outside the BMP) and inner spaces.
 AWKWARD_NAMES = ('say "hi"', "back\\slash", "tab\there", "Größe", "日本 語",

@@ -1,12 +1,19 @@
-"""The package's public names, and the line between the program and
-the test suite's reference implementations."""
+"""The package's public names and value types, and the line between
+the program and the test suite's reference implementations."""
 
 import ast
+import copy
 import os
+import pickle
 import subprocess
 import sys
 
+import pytest
+
 import implbases
+from implbases import (Implication, IndexSet, SingleParamSpec,
+                       attribute_hypergraph, gen_single, proper_premise_base,
+                       read_burmeister, stem_base)
 
 PUBLIC_NAMES = [
     "AttributeSet", "ContextParseError",
@@ -69,3 +76,30 @@ def test_oracles_import_no_private_engine_name():
                     if name.split(".")[0] == "implbases"
                     and any(part.startswith("_") for part in name.split(".")[1:])]
     assert not private, private
+
+
+@pytest.mark.parametrize("clone", [
+    lambda value: pickle.loads(pickle.dumps(value)), copy.copy, copy.deepcopy,
+], ids=["pickle", "copy", "deepcopy"])
+def test_value_types_pickle_and_copy(clone):
+    """Every public value type comes back equal, with an equal hash and
+    repr; a context keeps its names and columns, which its equality does
+    not read."""
+    named = read_burmeister(
+        "B\n\n3\n4\n\nalice\nbob\ncarol\nred\ngreen\nblue\nteal\n"
+        "XX..\n.XX.\nX..X\n")
+    sampled = gen_single(SingleParamSpec(9, 7, 0.5, seed=5))
+    values = [named, sampled, IndexSet(6, [0, 2, 5]),
+              attribute_hypergraph(sampled, 1),
+              Implication(IndexSet(4, [0]), IndexSet(4, [1, 3])),
+              proper_premise_base(sampled), stem_base(named)]
+    for value in values:
+        out = clone(value)
+        assert type(out) is type(value)
+        assert out == value and hash(out) == hash(value), value
+        assert repr(out) == repr(value)
+    for ctx in (named, sampled):
+        out = clone(ctx)
+        assert ((out.object_names, out.attribute_names, out.column_masks)
+                == (ctx.object_names, ctx.attribute_names, ctx.column_masks))
+    assert clone(named).attribute_names == ("red", "green", "blue", "teal")

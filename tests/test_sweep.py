@@ -264,8 +264,8 @@ def test_size_guards_refuse_before_any_work(overrides, monkeypatch):
     rec = sweep_mod.run_trial(spec, 0, spec.cells()[0], 0)
     assert rec.error.startswith("refusing ") and "guard 6" in rec.error
     fields = sweep_mod.record_fields(rec, timings=True)
-    assert all(fields[name] is None for name in
-               sweep_mod.RESULT_FIELDS + sweep_mod.TIMING_FIELDS)
+    assert all(fields[name] is None for name in sweep_mod.RESULT_COLUMNS
+               if name != "error")
 
 
 def test_fit_refuses_a_one_attribute_cell():
@@ -375,7 +375,7 @@ def test_spec_refuses_a_grid_the_model_refuses(overrides, message):
     (dict(objects=(5, 5)), "objects=5, attributes=5, p=0.5"),
     (dict(attributes=(4, 5, 4)), "objects=5, attributes=4, p=0.5"),
     (dict(p_values=(0.5, 0.3, 0.5)), "objects=5, attributes=5, p=0.5"),
-    (dict(p_values=(0.0, -0.0)), "objects=5, attributes=5, p=-0.0"),
+    (dict(p_values=(0.0, -0.0)), "objects=5, attributes=5, p=0.0"),
     (dict(model="multi", u_sizes=(1, 1)),
      "objects=5, attributes=5, u_size=1, r_size=0, x=2.0, f_prob=0.5"),
     (dict(model="multi", r_sizes=(0, 2, 2)),
