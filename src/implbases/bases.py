@@ -10,8 +10,9 @@ generator ``premises_by_attribute`` yields it for every attribute in
 turn. The base merges the lists into a premise -> conclusion map and
 orders the premise masks once, on ``sets.mask_order_key``, a string
 that orders masks as their member tuples do without building them.
-``premise_counts``, the sweep's count-only consumer, keeps just the
-summed lengths and a set of the distinct premises. The Duquenne-Guigues
+``premise_counts``, the sweep's count-only consumer, keeps each list as
+a numpy array and counts the distinct premises in one sort of the
+arrays joined: the pairs are its length. The Duquenne-Guigues
 (stem) base is enumerated in lectic order by one Next-Closure loop over
 the sets closed under strict application of the implications found so
 far. The strict closure reads the implications through a per-attribute
@@ -43,6 +44,8 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import and_, or_
 from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from .context import FormalContext
 from .hypergraph import Hypergraph, _transversal_masks
@@ -220,18 +223,26 @@ def premises_by_attribute(ctx: FormalContext) -> Iterator[tuple[list[int], int]]
 def premise_counts(ctx: FormalContext) -> tuple[list[int], int, int]:
     """Each attribute's minimal-transversal count, the number of
     premise -> attribute pairs and the number of distinct premises of
-    the proper-premise base, without building the base: the pairs are
-    the summed list lengths and the distinct premises fill one set, one
-    C-level ``set.update`` per attribute.
+    the proper-premise base, without building the base.
+
+    Each attribute's premise list becomes a numpy array as it is
+    yielded, so its Python ints are freed at once: ``uint64`` up to 64
+    attributes, Python ints in an ``object`` array above. The pairs are
+    the length of the arrays joined. Sorted in place, that array holds
+    one distinct premise more than it has places where a value differs
+    from the one before it, or none when it is empty.
     """
+    dtype = np.uint64 if ctx.n_attributes <= 64 else object
     counts = []
-    pairs = 0
-    premises: set[int] = set()
+    arrays = [np.empty(0, dtype)]
     for masks, count in premises_by_attribute(ctx):
         counts.append(count)
-        pairs += len(masks)
-        premises.update(masks)
-    return counts, pairs, len(premises)
+        arrays.append(np.array(masks, dtype))
+    premises = np.concatenate(arrays)
+    premises.sort()
+    distinct = (1 + int(np.count_nonzero(premises[1:] != premises[:-1]))
+                if premises.size else 0)
+    return counts, premises.size, distinct
 
 
 def proper_premise_base(ctx: FormalContext) -> ImplicationBase:

@@ -248,15 +248,25 @@ def spec_from_cell(cell: dict,
     ``objects`` and ``attributes``, then ``p`` (single model) or
     ``u_size``, ``r_size``, ``x`` and ``f_prob`` (multi model). Other
     keys are ignored, so a sweep cell and the parsed flags of ``gen``
-    are both cells. The one place where a spec is built from a cell."""
+    are both cells. The one place where a spec is built from a cell; a
+    signed zero in ``p``, ``x`` or ``f_prob`` is read as +0.0, so a
+    spec's header lines do not depend on the sign of a zero."""
     if cell["model"] == "single":
         return SingleParamSpec(n_objects=cell["objects"],
                                n_attributes=cell["attributes"],
-                               p=cell["p"], seed=seed)
+                               p=_unsigned_zero(cell["p"]), seed=seed)
     return MultiParamSpec(n_objects=cell["objects"],
                           n_attributes=cell["attributes"],
                           u_size=cell["u_size"], r_size=cell["r_size"],
-                          x=cell["x"], f_prob=cell["f_prob"], seed=seed)
+                          x=_unsigned_zero(cell["x"]),
+                          f_prob=_unsigned_zero(cell["f_prob"]), seed=seed)
+
+
+def _unsigned_zero(value: float) -> float:
+    """`value`, with a zero made unsigned (an int stays an int): its
+    ``repr`` tells -0.0 from 0.0, and that text keys a sweep cell's
+    trial seeds and heads a generated file."""
+    return abs(value) if value == 0 else value
 
 
 def gen_single(spec: SingleParamSpec) -> FormalContext:

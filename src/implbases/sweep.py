@@ -54,8 +54,9 @@ import numpy as np
 from .bases import premise_counts, stem_base
 from .bounds import (_avg_terms, _log_terms, base_size_log10, bound_defined,
                      check_finite, context_exponents)
-from .randctx import (check_sample_size, effective_probabilities, gen_multi,
-                      gen_single, spec_from_cell)
+from .randctx import (_unsigned_zero, check_sample_size,
+                      effective_probabilities, gen_multi, gen_single,
+                      spec_from_cell)
 
 CSV_SCHEMA = 1
 
@@ -122,12 +123,6 @@ class SweepSpec:
                  "u_size": u, "r_size": r, "x": x, "f_prob": f_prob}
                 for m, n, u, r in product(self.objects, self.attributes,
                                           self.u_sizes, self.r_sizes)]
-
-
-def _unsigned_zero(value: float) -> float:
-    """`value`, with a zero made unsigned (an int stays an int): the
-    ``repr`` that keys a cell's trial seeds tells -0.0 from 0.0."""
-    return abs(value) if value == 0 else value
 
 
 @dataclass

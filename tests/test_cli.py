@@ -90,6 +90,22 @@ def test_gen_deterministic_bytes():
     assert run_cli(*args).stdout == run_cli(*args).stdout
 
 
+@pytest.mark.parametrize("args", [
+    ("--p", "{z}"),
+    ("--model", "multi", "--u-size", "1", "--r-size", "2", "--x", "{z}",
+     "--f-prob", "{z}"),
+])
+def test_gen_signed_zero_writes_the_bytes_of_zero(args):
+    # -0 is the value 0: the same header lines and the same context
+    def gen(zero):
+        return run_cli("gen", "--objects", "6", "--attributes", "6",
+                       "--seed", "5",
+                       *(a.format(z=zero) for a in args)).stdout
+    out = gen("0")
+    assert b"-0.0" not in out
+    assert gen("-0") == out
+
+
 def test_gen_multi_header_records_probabilities():
     import math
 

@@ -12,7 +12,7 @@ from implbases import (FitError, FormalContext, SingleParamSpec, SweepSpec,
                        fit_lower_envelope, gen_multi, gen_single, parse_csv,
                        proper_premise_base, render_csv, run_sweep)
 import implbases.sweep as sweep_mod
-from implbases.bases import dualize_attribute
+from implbases.bases import dualize_attribute, premise_counts
 from implbases.randctx import spec_from_cell
 from implbases.sweep import CSV_COLUMNS, TIMING_FIELDS, TrialRecord
 
@@ -321,6 +321,29 @@ def test_trial_counts_on_full_empty_columns_and_duplicate_rows(rows, monkeypatch
     rec = sweep_mod.run_trial(spec, 0, spec.cells()[0], 0)
     assert rec.error is None
     assert_counts_match_the_base(rec, ctx)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 70])
+@pytest.mark.parametrize("m", [3, 4])
+def test_trial_counts_on_masks_at_and_past_64_bits(n, m, monkeypatch):
+    # rows 0-2 miss every third attribute, row 3 every fifth: premises
+    # of one and two attributes, shared between attributes, and the top
+    # attribute is in some row, so its bit (2**63 at n = 64) is a premise
+    rows = [[a % 3 != o for a in range(n)] for o in range(min(m, 3))]
+    rows += [[a % 5 != 0 for a in range(n)]] * (m - 3)
+    assert any(row[-1] for row in rows)
+    ctx = FormalContext(rows)
+    monkeypatch.setattr(sweep_mod, "gen_single", lambda spec: ctx)
+    spec = small_spec(objects=(m,), attributes=(n,), max_proper_attributes=n)
+    rec = sweep_mod.run_trial(spec, 0, spec.cells()[0], 0)
+    assert rec.error is None
+    assert rec.pp_premises < rec.pp_pairs
+    assert_counts_match_the_base(rec, ctx)
+
+
+def test_premise_counts_of_a_context_without_attributes():
+    ctx = FormalContext([[], [], []], n_attributes=0)
+    assert premise_counts(ctx) == ([], 0, 0)
 
 
 def test_fit_recovers_the_bound_columns_constants():
