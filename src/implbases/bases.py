@@ -4,23 +4,24 @@ Two bases are built here. The base of proper premises (canonical direct
 base) comes from per-attribute hypergraph dualization: the proper
 premises of attribute `a` are the minimal transversals of the hypergraph
 whose edges are the complements of the rows missing `a`, with the
-trivial transversal {a} removed. One per-attribute step dualizes `a`
-and drops {a}; ``proper_premises_of`` sorts its result, and the
-generator ``premises_by_attribute`` yields it for every attribute in
-turn. The base merges the lists into a premise -> conclusion map and
-orders the premise masks once, on ``sets.mask_order_key``, a string
-that orders masks as their member tuples do without building them.
-``premise_counts``, the sweep's count-only consumer, keeps each list as
-a numpy array and counts the distinct premises in one sort of the
-arrays joined: the pairs are its length. The Duquenne-Guigues
-(stem) base is enumerated in lectic order by one Next-Closure loop over
-the sets closed under strict application of the implications found so
-far. The strict closure reads the implications through a per-attribute
-index of bitsets (one Python int per attribute, one bit per
-implication), so a candidate's first round is a few big-int operations
-whatever the number of implications; each round fires every applicable
-implication, and the candidate stops after the first round that fails
-the lectic test. Its premises are exactly the pseudo-intents.
+trivial transversal {a} removed. One per-attribute step,
+``_attribute_premises``, dualizes `a` and drops {a}; ``proper_premises_of``
+sorts its result, and the base and ``premise_counts`` each call it for
+every attribute in turn. The base merges the lists into a premise ->
+conclusion map and orders the premise masks once, on
+``sets.mask_order_key``, a string that orders masks as their member
+tuples do without building them. ``premise_counts``, the sweep's
+count-only consumer, keeps each list as a numpy array and counts the
+distinct premises in one sort of the arrays joined: the pairs are its
+length. The Duquenne-Guigues (stem) base is enumerated in lectic order
+by one Next-Closure loop over the sets closed under strict application
+of the implications found so far. The strict closure reads the
+implications through a per-attribute index of bitsets (one Python int
+per attribute, one bit per implication), so a candidate's first round
+is a few big-int operations whatever the number of implications; each
+round fires every applicable implication, and the candidate stops after
+the first round that fails the lectic test. Its premises are exactly the
+pseudo-intents.
 
 An ``ImplicationBase``, a frozen slotted dataclass like ``Implication``,
 holds (premise mask, conclusion mask) pairs. Its one constructor takes
@@ -175,25 +176,15 @@ def attribute_hypergraph(ctx: FormalContext, a: int) -> Hypergraph:
     return Hypergraph.from_masks(n, _attribute_edges(ctx.row_masks, n, a))
 
 
-def dualize_attribute(rows: Sequence[int], n: int, a: int) -> list[int]:
-    """Minimal-transversal masks of attribute `a`'s hypergraph over the
-    row masks `rows` of an `n`-attribute context, in no fixed order.
-
-    This is the one place a context's attribute is dualized. The result
-    holds the trivial transversal {a} whenever the column is not full;
-    every other member is a proper premise of `a`.
-    """
-    return _transversal_masks(n, _attribute_edges(rows, n, a))
-
-
 def _attribute_premises(rows: Sequence[int], n: int,
                         a: int) -> tuple[list[int], int]:
     """Attribute `a`'s proper-premise masks, in no fixed order, and its
-    minimal-transversal count; the one place {a} is dropped. A full
-    column keeps its one transversal {}: `a` follows from nothing.
-    Otherwise {a} is a minimal transversal (it lies in every edge) and
-    no other one contains `a`."""
-    masks = dualize_attribute(rows, n, a)
+    minimal-transversal count, over the row masks `rows` of an
+    `n`-attribute context: the one place a context's attribute is
+    dualized and {a} is dropped. A full column keeps its one transversal
+    {}: `a` follows from nothing. Otherwise {a} is a minimal transversal
+    (it lies in every edge) and no other one contains `a`."""
+    masks = _transversal_masks(n, _attribute_edges(rows, n, a))
     count = len(masks)
     if masks != [0]:
         masks.remove(1 << a)
@@ -206,38 +197,25 @@ def proper_premises_of(ctx: FormalContext, a: int) -> list[AttributeSet]:
     return sorted_sets(n, _attribute_premises(ctx.row_masks, n, a)[0])
 
 
-def premises_by_attribute(ctx: FormalContext) -> Iterator[tuple[list[int], int]]:
-    """Each attribute's proper-premise masks, in no fixed order, with its
-    minimal-transversal count (the trivial {a} included), yielded one
-    attribute at a time in attribute order.
-
-    This is the one loop that dualizes every attribute of a context.
-    It keeps only the list of the attribute at hand, so its consumers
-    hold no more than what they build from the lists.
-    """
-    n = ctx.n_attributes
-    for a in range(n):
-        yield _attribute_premises(ctx.row_masks, n, a)
-
-
 def premise_counts(ctx: FormalContext) -> tuple[list[int], int, int]:
     """Each attribute's minimal-transversal count, the number of
     premise -> attribute pairs and the number of distinct premises of
     the proper-premise base, without building the base.
 
     Each attribute's premise list becomes a numpy array as it is
-    yielded, so its Python ints are freed at once: ``uint64`` up to 64
+    made, so its Python ints are freed at once: ``uint64`` up to 64
     attributes, Python ints in an ``object`` array above. The pairs are
     the length of the arrays joined. Sorted in place, that array holds
     one distinct premise more than it has places where a value differs
     from the one before it, or none when it is empty.
     """
-    dtype = np.uint64 if ctx.n_attributes <= 64 else object
-    counts = []
-    arrays = [np.empty(0, dtype)]
-    for masks, count in premises_by_attribute(ctx):
+    n = ctx.n_attributes
+    dtype = np.uint64 if n <= 64 else object
+    counts, arrays = [], [np.empty(0, dtype)]
+    for a in range(n):
+        masks, count = _attribute_premises(ctx.row_masks, n, a)
         counts.append(count)
-        arrays.append(np.array(masks, dtype))
+        arrays.append(np.fromiter(masks, dtype, len(masks)))
     premises = np.concatenate(arrays)
     premises.sort()
     distinct = (1 + int(np.count_nonzero(premises[1:] != premises[:-1]))
@@ -251,9 +229,9 @@ def proper_premise_base(ctx: FormalContext) -> ImplicationBase:
     """
     n = ctx.n_attributes
     merged: dict[int, int] = {}  # premise mask -> conclusion mask
-    for a, (masks, _) in enumerate(premises_by_attribute(ctx)):
+    for a in range(n):
         abit = 1 << a
-        for p in masks:
+        for p in _attribute_premises(ctx.row_masks, n, a)[0]:
             merged[p] = merged.get(p, 0) | abit
     premises = sorted(merged, key=mask_order_key)
     return ImplicationBase(

@@ -127,8 +127,8 @@ def almost_sure_lower_exponent(
     return check_finite("lower_exponent", log_base + c2 * lnln)
 
 
-def context_exponents(n_attributes: int, n_objects: int, p: float, c: float = 1.0,
-                      c2: float = 0.0) -> tuple[float, float] | None:
+def context_exponents(n_attributes: int, n_objects: int, p: float, c: float,
+                      c2: float) -> tuple[float, float] | None:
     """``avg_pp_exponent`` and ``almost_sure_lower_exponent`` of one
     context, or None where it is degenerate-dense. Refuses a non-finite
     c or c2 first, then what those two refuse."""

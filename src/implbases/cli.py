@@ -22,8 +22,8 @@ from pathlib import Path
 from .bases import format_implications, proper_premise_base, stem_base
 from .bounds import base_size_log10, classify_regime, context_exponents
 from .ctxio import read_context_file, write_burmeister
-from .randctx import (SampleTooLarge, gen_multi, gen_single, spec_from_cell,
-                      spec_to_keyvalues)
+from .randctx import (MultiParamSpec, SampleTooLarge, gen_multi, gen_single,
+                      spec_from_cell, spec_to_keyvalues)
 from .sets import mask_members
 from .sweep import (DEFAULT_MAX_PROPER_ATTRIBUTES, DEFAULT_MAX_STEM_ATTRIBUTES,
                     FitError, SweepSpec, check_workers, fit_exponent,
@@ -70,41 +70,42 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cell probability (single model)")
     p_gen.add_argument("--u-size", type=int, default=0)
     p_gen.add_argument("--r-size", type=int, default=0)
-    p_gen.add_argument("--x", type=float, default=2.0)
-    p_gen.add_argument("--f-prob", type=float, default=0.5)
-    p_gen.add_argument("--seed", type=int, default=0)
+    p_gen.add_argument("--x", type=float, default=MultiParamSpec.x)
+    p_gen.add_argument("--f-prob", type=float, default=MultiParamSpec.f_prob)
+    p_gen.add_argument("--seed", type=int, default=MultiParamSpec.seed)
     p_gen.add_argument("--out", default="-", help="output path, '-' for stdout")
 
     p_bounds = sub.add_parser("bounds", help="evaluate the theoretical size bounds")
     p_bounds.add_argument("--attributes", type=int, required=True)
     p_bounds.add_argument("--objects", type=int, required=True)
     p_bounds.add_argument("--p", type=float, required=True)
-    p_bounds.add_argument("--c", type=float, default=1.0)
-    p_bounds.add_argument("--c2", type=float, default=0.0)
+    p_bounds.add_argument("--c", type=float, default=SweepSpec.c)
+    p_bounds.add_argument("--c2", type=float, default=SweepSpec.c2)
     p_bounds.add_argument("--u-size", type=int, default=None,
                           help="with --r-size, also classify the multi-model regime")
     p_bounds.add_argument("--r-size", type=int, default=None)
-    p_bounds.add_argument("--x", type=float, default=2.0)
-    p_bounds.add_argument("--f-prob", type=float, default=0.5)
+    p_bounds.add_argument("--x", type=float, default=MultiParamSpec.x)
+    p_bounds.add_argument("--f-prob", type=float, default=MultiParamSpec.f_prob)
     p_bounds.add_argument("--format", choices=["text", "json"], default="text")
 
     p_sweep = sub.add_parser("sweep", help="run a seeded parameter sweep to CSV")
     p_sweep.add_argument("--model", choices=["single", "multi"], default="single")
-    p_sweep.add_argument("--objects", type=_list_of(int, "integers"), required=True,
+    ints, floats = _list_of(int, "integers"), _list_of(float, "numbers")
+    p_sweep.add_argument("--objects", type=ints, required=True,
                          help="comma-separated object counts")
-    p_sweep.add_argument("--attributes", type=_list_of(int, "integers"), required=True)
-    p_sweep.add_argument("--p", type=_list_of(float, "numbers"), default=(0.5,))
-    p_sweep.add_argument("--u-size", type=_list_of(int, "integers"), default=(0,))
-    p_sweep.add_argument("--r-size", type=_list_of(int, "integers"), default=(0,))
-    p_sweep.add_argument("--x", type=float, default=2.0)
-    p_sweep.add_argument("--f-prob", type=float, default=0.5)
-    p_sweep.add_argument("--trials", type=int, default=1)
-    p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--attributes", type=ints, required=True)
+    p_sweep.add_argument("--p", type=floats, default=SweepSpec.p_values)
+    p_sweep.add_argument("--u-size", type=ints, default=SweepSpec.u_sizes)
+    p_sweep.add_argument("--r-size", type=ints, default=SweepSpec.r_sizes)
+    p_sweep.add_argument("--x", type=float, default=MultiParamSpec.x)
+    p_sweep.add_argument("--f-prob", type=float, default=MultiParamSpec.f_prob)
+    p_sweep.add_argument("--trials", type=int, default=SweepSpec.trials)
+    p_sweep.add_argument("--seed", type=int, default=SweepSpec.base_seed)
     p_sweep.add_argument("--base", choices=["proper", "stem", "both"],
                          default="proper",
                          help="'stem'/'both' additionally compute the stem base")
-    p_sweep.add_argument("--c", type=float, default=1.0)
-    p_sweep.add_argument("--c2", type=float, default=0.0)
+    p_sweep.add_argument("--c", type=float, default=SweepSpec.c)
+    p_sweep.add_argument("--c2", type=float, default=SweepSpec.c2)
     p_sweep.add_argument("--workers", type=int, default=1,
                          help="run the trials in N processes, this one and "
                               "N-1 forked children; results stay in (cell, "

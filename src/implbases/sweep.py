@@ -54,7 +54,7 @@ import numpy as np
 from .bases import premise_counts, stem_base
 from .bounds import (_avg_terms, _log_terms, base_size_log10, bound_defined,
                      check_finite, context_exponents)
-from .randctx import (_unsigned_zero, check_sample_size,
+from .randctx import (MultiParamSpec, _unsigned_zero, check_sample_size,
                       effective_probabilities, gen_multi, gen_single,
                       spec_from_cell)
 
@@ -79,8 +79,8 @@ class SweepSpec:
     p_values: tuple[float, ...] = (0.5,)
     u_sizes: tuple[int, ...] = (0,)
     r_sizes: tuple[int, ...] = (0,)
-    x: float = 2.0
-    f_prob: float = 0.5
+    x: float = MultiParamSpec.x
+    f_prob: float = MultiParamSpec.f_prob
     trials: int = 1
     base_seed: int = 0
     with_stem: bool = False

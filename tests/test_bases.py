@@ -4,9 +4,9 @@ from hypothesis import strategies as st
 
 from implbases import (FormalContext, Implication, ImplicationBase, IndexSet,
                        SingleParamSpec, attribute_hypergraph,
-                       format_implications, gen_single, proper_premise_base,
-                       proper_premises_of, stem_base)
-from implbases.bases import premises_by_attribute
+                       format_implications, gen_single, minimal_transversals,
+                       proper_premise_base, proper_premises_of, stem_base)
+from implbases.bases import premise_counts
 from implbases.sets import sorted_sets
 
 from conftest import random_contexts
@@ -103,7 +103,6 @@ def test_brute_force_proper_premises_examples(toy_context):
 def test_trivial_transversal_structure(toy_context):
     """{a} is always a minimal transversal when edges exist, and no other
     minimal transversal contains a."""
-    from implbases import minimal_transversals
     for a in range(5):
         h = attribute_hypergraph(toy_context, a)
         tv = minimal_transversals(h)
@@ -144,13 +143,13 @@ def test_oracle_equivalence_on_random_contexts():
     full_column = FormalContext([[1, 0, 1], [1, 1, 0], [1, 0, 0]])
     empty_column = FormalContext([[0, 1, 1], [0, 1, 0], [0, 0, 1]])
     for ctx in random_contexts(60, base_seed=5) + [full_column, empty_column]:
-        for a, (masks, count) in enumerate(premises_by_attribute(ctx)):
-            oracle = brute_force_proper_premises(ctx, a)
-            assert proper_premises_of(ctx, a) == oracle
-            assert sorted(masks) == sorted(p.mask for p in oracle)
+        counts = premise_counts(ctx)[0]
+        for a, count in enumerate(counts):
+            premises = proper_premises_of(ctx, a)
+            assert premises == brute_force_proper_premises(ctx, a)
             # the trivial transversal {a} is counted unless column a is full
             full = ctx.column_masks[a] == (1 << ctx.n_objects) - 1
-            assert count == len(masks) + (not full)
+            assert count == len(premises) + (not full)
 
 
 def test_premise_minimality_on_random_contexts(toy_context):
@@ -348,20 +347,18 @@ def test_format_empty_base():
     assert format_implications(ImplicationBase((), "stem", 2), ("a1", "a2")) == ""
 
 
-def test_dualize_attribute_matches_attribute_hypergraph(toy_context):
-    from implbases import minimal_transversals
-    from implbases.bases import dualize_attribute
-    rows = toy_context.row_masks
+def test_proper_premises_are_the_hypergraph_transversals_without_a(toy_context):
     for ctx in [toy_context] + random_contexts(40, base_seed=11):
-        n = ctx.n_attributes
-        for a in range(n):
-            masks = dualize_attribute(ctx.row_masks, n, a)
+        for a in range(ctx.n_attributes):
             expected = minimal_transversals(attribute_hypergraph(ctx, a))
-            assert sorted(masks) == sorted(s.mask for s in expected)
-    with pytest.raises(ValueError):
-        dualize_attribute(rows, 5, 5)
-    with pytest.raises(ValueError):
-        dualize_attribute(rows, 5, -1)
+            assert ([p.mask for p in proper_premises_of(ctx, a)]
+                    == [s.mask for s in expected if s.mask != 1 << a])
+    for a in (5, -1):
+        message = rf"^attribute {a} outside universe 5$"
+        with pytest.raises(ValueError, match=message):
+            attribute_hypergraph(toy_context, a)
+        with pytest.raises(ValueError, match=message):
+            proper_premises_of(toy_context, a)
 
 
 # -- the mask-pair base ----------------------------------------------------------

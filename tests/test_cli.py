@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from implbases import parse_csv
+from implbases import (SingleParamSpec, gen_single, parse_csv,
+                       proper_premise_base, write_burmeister)
 
 
 def run_cli(*args, expect_code=0):
@@ -75,6 +76,54 @@ def test_compute_stem_size_guard(tmp_path):
         "error: refusing stem-base computation for 25 attributes (guard 24)\n")
     # overridable
     run_cli("compute", str(path), "--base", "stem", "--max-stem-attrs", "25")
+
+
+def _listing_order(implication):
+    """The text listing's sort key of a JSON implication."""
+    return [[int(name[1:]) for name in implication[side]]
+            for side in ("premise", "conclusion")]
+
+
+def test_compute_past_64_attributes_text_and_json_agree(tmp_path):
+    # masks wider than 64 bits on the whole compute path: the proper-premise
+    # base, its sort key, the text listing and the hand-written JSON
+    ctx = gen_single(SingleParamSpec(n_objects=5, n_attributes=66, p=0.6,
+                                     seed=3))
+    path = tmp_path / "wide.cxt"
+    path.write_text(write_burmeister(ctx))
+    flags = (str(path), "--base", "both", "--max-proper-attrs", "66",
+             "--max-stem-attrs", "66")
+    text = run_cli("compute", *flags).stdout.decode()
+    out = run_cli("compute", *flags, "--format", "json").stdout.decode()
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+    bases = json.loads(out)["bases"]
+    base = proper_premise_base(ctx)
+    assert max(p | c for p, c in base.mask_pairs()) >> 64
+    listed, footers = {}, {}
+    for line in text.splitlines():
+        if line.startswith("# base="):
+            kind = line[len("# base="):]
+            listed[kind] = []
+        elif line.startswith("# "):
+            footers[kind] = line
+        else:
+            premise, conclusion = line.split("->")
+            listed[kind].append({"premise": premise.split(),
+                                 "conclusion": conclusion.split()})
+    assert list(listed) == list(footers) == ["proper", "stem"]
+    assert footers["proper"] == (
+        f"# proper: implications={len(base)} premises={base.premise_count} "
+        f"pairs={base.pair_count} attributes=66 objects=5")
+    # the text lists both bases sorted; the JSON keeps each base's order,
+    # which for the proper-premise base is the same
+    assert bases["proper"]["implications"] == listed["proper"]
+    for kind, implications in listed.items():
+        b = bases[kind]
+        assert sorted(b["implications"], key=_listing_order) == implications
+        assert footers[kind] == (
+            f"# {kind}: implications={b['implication_count']} "
+            f"premises={b['premise_count']} pairs={b['pair_count']} "
+            "attributes=66 objects=5")
 
 
 def test_gen_p_zero_all_blank():

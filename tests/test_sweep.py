@@ -7,12 +7,13 @@ import warnings
 import pytest
 
 from implbases import (FitError, FormalContext, SingleParamSpec, SweepSpec,
-                       almost_sure_lower_exponent, avg_pp_exponent,
-                       base_size_log10, derive_trial_seed, fit_exponent,
-                       fit_lower_envelope, gen_multi, gen_single, parse_csv,
-                       proper_premise_base, render_csv, run_sweep)
+                       almost_sure_lower_exponent, attribute_hypergraph,
+                       avg_pp_exponent, base_size_log10, derive_trial_seed,
+                       fit_exponent, fit_lower_envelope, gen_multi, gen_single,
+                       minimal_transversals, parse_csv, proper_premise_base,
+                       render_csv, run_sweep)
 import implbases.sweep as sweep_mod
-from implbases.bases import dualize_attribute, premise_counts
+from implbases.bases import premise_counts
 from implbases.randctx import spec_from_cell
 from implbases.sweep import CSV_COLUMNS, TIMING_FIELDS, TrialRecord
 
@@ -280,7 +281,8 @@ def assert_counts_match_the_base(rec, ctx):
     """The count-only trial path against the full base and the raw
     per-attribute transversal counts."""
     n = ctx.n_attributes
-    raw = [len(dualize_attribute(ctx.row_masks, n, a)) for a in range(n)]
+    raw = [len(minimal_transversals(attribute_hypergraph(ctx, a)))
+           for a in range(n)]
     base = proper_premise_base(ctx)
     assert (rec.mt_min, rec.mt_max) == (min(raw), max(raw))
     assert rec.mt_mean == sum(raw) / n
