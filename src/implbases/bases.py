@@ -5,14 +5,17 @@ base) comes from per-attribute hypergraph dualization: the proper
 premises of attribute `a` are the minimal transversals of the hypergraph
 whose edges are the complements of the rows missing `a`, with the
 trivial transversal {a} removed. One per-attribute step,
-``_attribute_premises``, dualizes `a` and drops {a}; ``proper_premises_of``
-sorts its result, and the base and ``premise_counts`` each call it for
-every attribute in turn. The base merges the lists into a premise ->
+``_attribute_premises``, dualizes `a` and drops {a}, and returns the
+premises as the kernel's compressed family (``hypergraph``);
+``proper_premises_of`` expands and sorts it, and the base and
+``premise_counts`` each call it for every attribute in turn. The base
+expands each attribute's family, merges the premises into a premise ->
 conclusion map and orders the premise masks once, on
 ``sets.mask_order_key``, a string that orders masks as their member
 tuples do without building them. ``premise_counts``, the sweep's
-count-only consumer, keeps each list as a numpy array and counts the
-distinct premises in one sort of the arrays joined: the pairs are its
+count-only consumer, reads each attribute's count off its compressed
+family, expands the whole context's families into one numpy array and
+counts the distinct premises in one sort of it: the pairs are its
 length. The Duquenne-Guigues (stem) base is enumerated in lectic order
 by one Next-Closure loop over the sets closed under strict application
 of the implications found so far. The strict closure reads the
@@ -49,7 +52,8 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .context import FormalContext
-from .hypergraph import Hypergraph, _transversal_masks
+from .hypergraph import (Family, Hypergraph, _transversal_array,
+                         _transversal_masks)
 from .sets import (AttributeSet, IndexSet, mask_members, mask_order_key,
                    sorted_sets)
 
@@ -177,24 +181,28 @@ def attribute_hypergraph(ctx: FormalContext, a: int) -> Hypergraph:
 
 
 def _attribute_premises(rows: Sequence[int], n: int,
-                        a: int) -> tuple[list[int], int]:
-    """Attribute `a`'s proper-premise masks, in no fixed order, and its
-    minimal-transversal count, over the row masks `rows` of an
-    `n`-attribute context: the one place a context's attribute is
-    dualized and {a} is dropped. A full column keeps its one transversal
-    {}: `a` follows from nothing. Otherwise {a} is a minimal transversal
-    (it lies in every edge) and no other one contains `a`."""
-    masks = _transversal_masks(n, _attribute_edges(rows, n, a))
-    count = len(masks)
-    if masks != [0]:
-        masks.remove(1 << a)
-    return masks, count
+                        a: int) -> tuple[Family, int]:
+    """Attribute `a`'s proper premises, as a compressed family
+    (``hypergraph._transversal_masks``), and its minimal-transversal
+    count, over the row masks `rows` of an `n`-attribute context: the one
+    place a context's attribute is dualized and {a} is dropped. A full
+    column keeps its one transversal {}: `a` follows from nothing."""
+    singles, prefixes, frees = _transversal_masks(
+        n, _attribute_edges(rows, n, a))
+    count = len(singles) + sum(map(int.bit_count, frees))
+    if singles != [0]:
+        # `a` lies in every edge, so the root's child for `a` covers
+        # every edge and {a} is a single; below the root `a` is blocked
+        # everywhere, so no other transversal contains it
+        singles.remove(1 << a)
+    return (singles, prefixes, frees), count
 
 
 def proper_premises_of(ctx: FormalContext, a: int) -> list[AttributeSet]:
     """Proper premises of `a`, sorted; [{}] when column `a` is full."""
     n = ctx.n_attributes
-    return sorted_sets(n, _attribute_premises(ctx.row_masks, n, a)[0])
+    family = _attribute_premises(ctx.row_masks, n, a)[0]
+    return sorted_sets(n, _transversal_array(n, [family]).tolist())
 
 
 def premise_counts(ctx: FormalContext) -> tuple[list[int], int, int]:
@@ -202,21 +210,23 @@ def premise_counts(ctx: FormalContext) -> tuple[list[int], int, int]:
     premise -> attribute pairs and the number of distinct premises of
     the proper-premise base, without building the base.
 
-    Each attribute's premise list becomes a numpy array as it is
-    made, so its Python ints are freed at once: ``uint64`` up to 64
-    attributes, Python ints in an ``object`` array above. The pairs are
-    the length of the arrays joined. Sorted in place, that array holds
-    one distinct premise more than it has places where a value differs
-    from the one before it, or none when it is empty.
+    The counts are read off the compressed families. The families are
+    expanded once for the whole context, by ``_transversal_array``,
+    which turns each one into arrays as it is made. The pairs are the
+    length of that array. Sorted in place, it holds one distinct premise
+    more than it has places where a value differs from the one before
+    it, or none when it is empty.
     """
     n = ctx.n_attributes
-    dtype = np.uint64 if n <= 64 else object
-    counts, arrays = [], [np.empty(0, dtype)]
-    for a in range(n):
-        masks, count = _attribute_premises(ctx.row_masks, n, a)
-        counts.append(count)
-        arrays.append(np.fromiter(masks, dtype, len(masks)))
-    premises = np.concatenate(arrays)
+    counts: list[int] = []
+
+    def families() -> Iterator[Family]:
+        for a in range(n):
+            family, count = _attribute_premises(ctx.row_masks, n, a)
+            counts.append(count)
+            yield family
+
+    premises = _transversal_array(n, families())
     premises.sort()
     distinct = (1 + int(np.count_nonzero(premises[1:] != premises[:-1]))
                 if premises.size else 0)
@@ -231,7 +241,8 @@ def proper_premise_base(ctx: FormalContext) -> ImplicationBase:
     merged: dict[int, int] = {}  # premise mask -> conclusion mask
     for a in range(n):
         abit = 1 << a
-        for p in _attribute_premises(ctx.row_masks, n, a)[0]:
+        family = _attribute_premises(ctx.row_masks, n, a)[0]
+        for p in _transversal_array(n, [family]).tolist():
             merged[p] = merged.get(p, 0) | abit
     premises = sorted(merged, key=mask_order_key)
     return ImplicationBase(

@@ -5,11 +5,19 @@ that adds one vertex of an uncovered edge at a time, keeps the chosen
 set minimal through per-member crit sets by never offering a vertex
 that would empty one, and holds no intermediate family of
 transversals. Every child is built by one update of its crit sets and
-candidates; a child with one uncovered edge left starts from its
-candidates in that edge and is finished in place, one minimal
-transversal per unblocked candidate, so the search pushes no node for
-it. Inner loops work on raw bitmasks and return families in no fixed
-order; the public functions sort at the boundary (``sets.sorted_sets``).
+candidates, and each crit set's meet is computed once per search; a
+child with one uncovered edge left starts from its candidates in that
+edge and is not pushed but recorded as one pair, the set so far and its
+unblocked candidates there, which stands for one minimal transversal
+per candidate. So the kernel returns a compressed family: the
+transversals it completed one at a time (the singles) and those pairs.
+``_transversal_array`` expands compressed families into one numpy
+array, peeling the lowest candidate off every pair at once; it alone
+picks the dtype (``uint64`` up to 64 vertices, Python ints above).
+``bases.premise_counts`` expands a whole context's families at once,
+and the other callers expand one family and sort its ``tolist()`` at
+the boundary (``sets.sorted_sets``). Inner loops work on raw bitmasks
+and return families in no fixed order.
 
 A ``Hypergraph`` is a frozen slotted dataclass over ``IndexSet`` edges,
 made at the API boundary only.
@@ -27,7 +35,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .sets import IndexSet, sorted_sets
+
+# a compressed transversal family: (singles, prefixes, frees), as
+# ``_transversal_masks`` returns it
+Family = tuple[list[int], list[int], list[int]]
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -76,8 +90,9 @@ def minimal_transversals(h: Hypergraph) -> list[IndexSet]:
     Returns ``[{}]`` for an edgeless hypergraph and ``[]`` when some edge
     is empty (nothing can intersect it).
     """
-    return sorted_sets(h.vertex_count,
-                       _transversal_masks(h.vertex_count, h.edge_masks))
+    n = h.vertex_count
+    family = _transversal_masks(n, h.edge_masks)
+    return sorted_sets(n, _transversal_array(n, [family]).tolist())
 
 
 # -- mask-level core ---------------------------------------------------------
@@ -96,10 +111,14 @@ def _minimize_masks(masks: Sequence[int]) -> list[int]:
     return kept
 
 
-def _transversal_masks(n: int, edge_masks: Sequence[int]) -> list[int]:
+def _transversal_masks(n: int, edge_masks: Sequence[int]) -> Family:
     """Minimal-transversal masks by MMCS (Murakami & Uno, Discrete Appl.
-    Math. 170, 2014), in no fixed order (callers that need one sort at
-    the boundary).
+    Math. 170, 2014), as a compressed family ``(singles, prefixes,
+    frees)``: the singles, plus ``t | w`` for each pair ``(t, f)`` of
+    ``zip(prefixes, frees)`` and each bit ``w`` of ``f`` (never 0). No
+    mask is repeated and none is in a fixed order;
+    ``_transversal_array`` expands the family, and callers that need an
+    order sort at the boundary.
 
     A depth-first search grows a set S that stays minimal: every member
     keeps a crit set, the edges that it alone hits in S. Adding vertex v
@@ -111,28 +130,32 @@ def _transversal_masks(n: int, edge_masks: Sequence[int]) -> list[int]:
     i-th candidate adds that vertex and drops the later ones from the
     candidates, so each minimal transversal is reached once. Every child
     is minimal by construction: one that covers the last uncovered edge
-    is emitted at once, and a node with an uncovered edge that has no
-    candidate left is a dead end. Every other child is built by one
-    update: its crit sets, and its candidates less the vertices in the
-    meet of the new member's crit set or of a crit set that lost an
-    edge. A child that leaves one edge uncovered starts that update from
-    its candidates in that edge; it is not pushed but emits one minimal
-    transversal per unblocked candidate, exactly as popping it would.
-    Edges are indices into the minimized family, so ``occ[v]``, the crit
-    sets and the uncovered edges are bitsets over edge indices. The
-    search uses an explicit stack: S can hold more vertices than the
-    recursion limit.
+    is a single, and a node with an uncovered edge that has no candidate
+    left is a dead end. Every other child is built by one update: its
+    crit sets, and its candidates less the meet of the new member's crit
+    set and of each crit set that lost an edge. Crit sets recur across
+    the search, so each one's meet is computed once per call. A child
+    that leaves one edge uncovered starts that update from its
+    candidates in that edge; it is not pushed but recorded as the pair
+    (its set, its unblocked candidates there), one minimal transversal
+    per candidate, exactly as popping it would emit them. Edges are indices
+    into the minimized family, so ``occ[v]``, the crit sets and the
+    uncovered edges are bitsets over edge indices. The search uses an
+    explicit stack: S can hold more vertices than the recursion limit.
     """
     edges = _minimize_masks(edge_masks)
     if not edges:
-        return [0]
+        return [0], [], []
     occ = [0] * n
     for i, e in enumerate(edges):
         while e:
             low = e & -e
             e ^= low
             occ[low.bit_length() - 1] |= 1 << i
-    out: list[int] = []
+    singles: list[int] = []
+    prefixes: list[int] = []
+    frees: list[int] = []
+    meets: dict[int, int] = {}  # crit set -> its meet, see _meet
     # (S mask, crit sets of S's members, uncovered edges, candidates);
     # no candidate is blocked
     stack = [(0, [], (1 << len(edges)) - 1, (1 << n) - 1)]
@@ -158,7 +181,7 @@ def _transversal_masks(n: int, edge_masks: Sequence[int]) -> list[int]:
             ov = occ[vbit.bit_length() - 1]
             left = uncov & ~ov
             if not left:
-                out.append(s | vbit)
+                singles.append(s | vbit)
             else:
                 # one edge left: only the child's candidates in it count
                 last = not left & (left - 1)
@@ -168,27 +191,55 @@ def _transversal_masks(n: int, edge_masks: Sequence[int]) -> list[int]:
                     lost = c & ov
                     if lost:
                         c ^= lost
-                        free &= ~_meet(edges, c, free)
+                        free &= ~(meets.get(c) or _meet(meets, edges, c))
                     child.append(c)
                 c = ov & uncov
                 child.append(c)
-                free &= ~_meet(edges, c, free)
-                t = s | vbit
-                if last:  # each free candidate completes the child
-                    while free:
-                        w = free & -free
-                        free ^= w
-                        out.append(t | w)
-                else:
-                    stack.append((t, child, left, free))
+                free &= ~(meets.get(c) or _meet(meets, edges, c))
+                if not last:
+                    stack.append((s | vbit, child, left, free))
+                elif free:  # each free candidate completes the child
+                    prefixes.append(s | vbit)
+                    frees.append(free)
             cand |= vbit
-    return out
+    return singles, prefixes, frees
 
 
-def _meet(edges: list[int], crit: int, within: int) -> int:
-    """The vertices of `within` that lie in every edge indexed by `crit`."""
-    while crit and within:
+def _meet(meets: dict[int, int], edges: list[int], crit: int) -> int:
+    """The vertices in every edge indexed by `crit`, stored in `meets`
+    under `crit`. A crit set is never empty and its meet holds the
+    member it belongs to, so a stored meet is never 0."""
+    meet, key = -1, crit
+    while crit:
         low = crit & -crit
         crit ^= low
-        within &= edges[low.bit_length() - 1]
-    return within
+        meet &= edges[low.bit_length() - 1]
+    meets[key] = meet
+    return meet
+
+
+def _transversal_array(n: int, families: Iterable[Family]) -> np.ndarray:
+    """Every mask of the compressed families (``_transversal_masks``) as
+    one numpy array, in no fixed order: ``uint64`` up to 64 vertices,
+    Python ints in an ``object`` array above. Each family's lists become
+    arrays as it arrives, so the ints of all the families are never held
+    at once. The pairs are then expanded together, one round per bit of
+    the fullest ``f``: each round emits ``t | w`` for the lowest bit
+    ``w`` of every ``f`` at once and keeps the pairs with bits left."""
+    dtype = np.uint64 if n <= 64 else object
+    empty = np.empty(0, dtype)
+    parts: tuple[list[np.ndarray], ...] = ([empty], [empty], [empty])
+    for singles, prefixes, frees in families:
+        if singles:
+            parts[0].append(np.fromiter(singles, dtype, len(singles)))
+        if frees:
+            parts[1].append(np.fromiter(prefixes, dtype, len(frees)))
+            parts[2].append(np.fromiter(frees, dtype, len(frees)))
+    singles, prefixes, frees = map(np.concatenate, parts)
+    out = [singles]
+    while frees.size:
+        rest = frees & (frees - 1)  # each f less its lowest bit
+        out.append(prefixes | (frees ^ rest))
+        keep = rest != 0
+        prefixes, frees = prefixes[keep], rest[keep]
+    return np.concatenate(out)

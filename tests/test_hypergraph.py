@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from implbases import (Hypergraph, IndexSet, SingleParamSpec,
                        attribute_hypergraph, gen_single, minimal_transversals,
                        normalize)
-from implbases.hypergraph import _transversal_masks
+from implbases.hypergraph import _transversal_array, _transversal_masks
 
 from oracles import brute_force_transversals, is_transversal
 
@@ -208,13 +209,55 @@ def test_one_edge_left_emits_only_unblocked_candidates():
     assert as_member_sets(brute_force_transversals(h)) == expected
 
 
-def test_no_repeated_transversal_at_thirty_attributes():
-    # sweeps count transversals with len(), and neither the engine nor
-    # sorted_sets deduplicates, so the engine must not repeat a mask
-    ctx = gen_single(SingleParamSpec(30, 30, 0.5, seed=30))
-    for a in range(ctx.n_attributes):
-        masks = _transversal_masks(30, attribute_hypergraph(ctx, a).edge_masks)
+@pytest.mark.parametrize("m, n", [(30, 30), (8, 64), (8, 65)])
+def test_no_repeated_transversal(m, n):
+    # sweeps count transversals off the compressed family and with len(),
+    # and neither the engine, the expansion nor sorted_sets deduplicates,
+    # so no mask may repeat; at 64 and 65 attributes some free candidate
+    # is the top attribute (bit 63 of a uint64, bit 64 of a Python int)
+    ctx = gen_single(SingleParamSpec(m, n, 0.5, seed=n))
+    top_free = False
+    for a in range(n):
+        family = _transversal_masks(n, attribute_hypergraph(ctx, a).edge_masks)
+        singles, _, frees = family
+        masks = _transversal_array(n, [family]).tolist()
         assert len(set(masks)) == len(masks)
+        assert len(masks) == len(singles) + sum(f.bit_count() for f in frees)
+        top_free |= any(f >> (n - 1) for f in frees)
+    assert top_free or n == 30
+
+
+def bit_by_bit(families):
+    """The masks of compressed families, expanded one bit at a time."""
+    out = []
+    for singles, prefixes, frees in families:
+        out += singles
+        for t, f in zip(prefixes, frees):
+            out += [t | 1 << i for i in range(f.bit_length()) if f >> i & 1]
+    return out
+
+
+@pytest.mark.parametrize("n, families, dtype", [
+    # bit 63 in singles, prefixes and frees, and a free of all 64 bits
+    (64, [([1 << 63, 6], [1 << 63, 0, 1 << 5], [3, (1 << 64) - 1, 1 << 63])],
+     np.uint64),
+    # bits 64-69, over two families, in an object array
+    (70, [([(1 << 70) - 1], [1 << 69], [(1 << 64) | (1 << 68) | 1]),
+          ([], [3 << 64, 1], [(1 << 69) | (1 << 66), (1 << 65) - 2])],
+     object),
+    (5, [([3, 6], [], [])], np.uint64),  # no pairs
+    (5, [([], [8], [7]), ([1, 2], [], [])], np.uint64),  # a family of pairs only
+    (5, [([0], [], [])], np.uint64),  # an edgeless hypergraph's {}
+    (5, [([], [], [])], np.uint64),  # a hypergraph with an empty edge
+    (70, [([], [], [])], object),
+    (3, [], np.uint64),
+])
+def test_transversal_array_expands_every_free_bit(n, families, dtype):
+    out = _transversal_array(n, families)
+    assert out.dtype == dtype
+    masks = out.tolist()
+    assert all(type(m) is int for m in masks)
+    assert sorted(masks) == sorted(bit_by_bit(families))
 
 
 def test_dense_hypergraphs_match_the_oracle():
