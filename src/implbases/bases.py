@@ -347,19 +347,12 @@ def stem_base(ctx: FormalContext) -> ImplicationBase:
 
 
 def _closure_mask(ctx: FormalContext, attrs_mask: int) -> int:
-    obj_mask = (1 << ctx.n_objects) - 1
-    cols = ctx.column_masks
-    m = attrs_mask
-    while m:
-        low = m & -m
-        obj_mask &= cols[low.bit_length() - 1]
-        m ^= low
+    """X'': the attributes common to every row that contains X (all
+    attributes when no row does)."""
     out = (1 << ctx.n_attributes) - 1
-    rows = ctx.row_masks
-    while obj_mask:
-        low = obj_mask & -obj_mask
-        out &= rows[low.bit_length() - 1]
-        obj_mask ^= low
+    for row in ctx.row_masks:
+        if row & attrs_mask == attrs_mask:
+            out &= row
     return out
 
 

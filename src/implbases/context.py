@@ -1,10 +1,10 @@
 """Formal contexts: a binary relation between objects and attributes.
 
-A context is held as two views of one incidence relation, the
-attribute mask of every object (its row) and the object mask of every
-attribute (its column); the bases and the random model read and build
-these views directly. ``FormalContext`` is a frozen slotted dataclass,
-equal and hashed by its dimensions and rows.
+A context is held as its rows: the attribute mask of every object.
+The bases and the random model read and build these masks directly;
+a column, where one is needed, is read off the rows. ``FormalContext``
+is a frozen slotted dataclass, equal and hashed by its dimensions and
+rows.
 """
 
 from __future__ import annotations
@@ -21,19 +21,18 @@ def _default_names(prefix: str, count: int) -> tuple[str, ...]:
 class FormalContext:
     """Object/attribute incidence relation.
 
-    Rows and columns are materialised as bitmasks at construction, so
-    deriving in either direction intersects masks.
+    Each object's row is stored as a bitmask of its attributes; nothing
+    else about the relation is stored.
     Duplicate rows are allowed (random models can produce them).
     Objects and attributes are identified by dense indices; `object_names`
     and `attribute_names` are presentation-layer labels only. Equality
-    and hash read (n_objects, n_attributes, row_masks): the columns
-    follow from the rows, and the names are not part of the relation.
+    and hash read (n_objects, n_attributes, row_masks): the names are
+    not part of the relation.
     """
 
     n_objects: int
     n_attributes: int
     row_masks: tuple[int, ...]
-    column_masks: tuple[int, ...] = field(compare=False)
     object_names: tuple[str, ...] = field(compare=False)
     attribute_names: tuple[str, ...] = field(compare=False)
 
@@ -84,28 +83,8 @@ class FormalContext:
                              object_names, attribute_names)
         return ctx
 
-    @classmethod
-    def _from_checked_masks(cls, n_objects: int, n_attributes: int,
-                            rows: Sequence[int],
-                            cols: Sequence[int]) -> "FormalContext":
-        """The context whose row and column masks are given, both, and
-        in range: nothing is checked or rebuilt. For the random sampler,
-        which reads both views off one matrix."""
-        ctx = cls.__new__(cls)
-        ctx._init_from_masks(n_objects, n_attributes, rows, None, None, cols)
-        return ctx
-
     def _init_from_masks(self, n_objects, n_attributes, rows,
-                         object_names, attribute_names, cols=None) -> None:
-        if cols is None:
-            cols = [0] * n_attributes
-            for o, mask in enumerate(rows):
-                obit = 1 << o
-                m = mask
-                while m:
-                    low = m & -m
-                    cols[low.bit_length() - 1] |= obit
-                    m ^= low
+                         object_names, attribute_names) -> None:
         if object_names is None:
             object_names = _default_names("o", n_objects)
         if attribute_names is None:
@@ -115,7 +94,6 @@ class FormalContext:
         object.__setattr__(self, "n_objects", n_objects)
         object.__setattr__(self, "n_attributes", n_attributes)
         object.__setattr__(self, "row_masks", tuple(rows))
-        object.__setattr__(self, "column_masks", tuple(cols))
         object.__setattr__(self, "object_names", tuple(object_names))
         object.__setattr__(self, "attribute_names", tuple(attribute_names))
 

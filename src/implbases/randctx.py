@@ -20,8 +20,8 @@ SeedSequence's and PCG64's own seeding arithmetic, and draws each column
 from the generator set to that state. Tests pin the states and the
 sampled contexts to those of numpy's own per-column objects.
 The draws of all columns fill one attribute x object matrix, compared
-once against the column probabilities; the context's row and column
-masks are both packed from it.
+once against the column probabilities; the context's row masks are
+packed from its transpose.
 """
 
 from __future__ import annotations
@@ -221,8 +221,7 @@ def _sample_columns(n_objects: int, n_attributes: int,
     every column's pool and seeds the one generator that draws every
     column, set to that column's starting state first. The draws fill
     one attribute x object matrix, compared once against the
-    probabilities; the column and row masks are its rows and its
-    columns, packed."""
+    probabilities; the context's row masks are its columns, packed."""
     check_sample_size(n_objects, n_attributes)
     try:
         draws = np.empty((n_attributes, n_objects))
@@ -237,9 +236,8 @@ def _sample_columns(n_objects: int, n_attributes: int,
                                "has_uint32": 0, "uinteger": 0}
         generator.random(n_objects, out=draws[a])
     crosses = draws < np.array(probs, dtype=float).reshape(-1, 1)
-    return FormalContext._from_checked_masks(
-        n_objects, n_attributes, _packed_masks(crosses.T),
-        _packed_masks(crosses))
+    return FormalContext.from_row_masks(
+        n_objects, n_attributes, _packed_masks(crosses.T))
 
 
 def spec_from_cell(cell: dict,

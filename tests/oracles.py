@@ -5,8 +5,9 @@ no code with the engine they check: minimal transversals, proper
 premises and pseudo-intents. Past their reach, ``next_closure_stem``
 enumerates the stem base by Next-Closure with a plain scan of the
 implications found so far, the reference for the indexed strict closure
-of ``stem_base``. The derivation operators of a context, its closure and
-implication validity are here as functions of a context, and so are the
+of ``stem_base``. The derivation operators of a context (its columns read
+off the rows one attribute at a time), its closure and implication
+validity are here as functions of a context, and so are the
 single-pass and fixpoint closures under an implication base. Every
 closure of a context here is ``closure`` below. None of this is part of
 the ``implbases`` package; the program runs none of it.
@@ -84,6 +85,14 @@ def derive_objects(ctx: FormalContext, objs: IndexSet) -> AttributeSet:
     return IndexSet.from_mask(ctx.n_attributes, mask)
 
 
+def column_mask(ctx: FormalContext, a: int) -> int:
+    """The objects having attribute `a`, read off the rows one at a time."""
+    mask = 0
+    for o, row in enumerate(ctx.row_masks):
+        mask |= (row >> a & 1) << o
+    return mask
+
+
 def derive_attributes(ctx: FormalContext, attrs: AttributeSet) -> IndexSet:
     """Objects having every attribute in `attrs`; dual of derive_objects."""
     if attrs.universe != ctx.n_attributes:
@@ -91,7 +100,7 @@ def derive_attributes(ctx: FormalContext, attrs: AttributeSet) -> IndexSet:
             f"attribute set universe {attrs.universe} != {ctx.n_attributes}")
     mask = (1 << ctx.n_objects) - 1
     for a in attrs:
-        mask &= ctx.column_masks[a]
+        mask &= column_mask(ctx, a)
         if not mask:
             break
     return IndexSet.from_mask(ctx.n_objects, mask)

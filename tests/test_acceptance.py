@@ -27,7 +27,7 @@ from implbases.randctx import MultiParamSpec
 
 from oracles import (brute_force_proper_premises, brute_force_pseudo_intents,
                      brute_force_transversals, close_fixpoint, close_once,
-                     closure)
+                     closure, column_mask)
 
 EVAL_SWEEP_SEED = 20250801
 CALIBRATION_SWEEP_SEED = 913370001
@@ -313,7 +313,7 @@ def test_criterion_10_generator_statistics():
     sigma3_col = 3 * math.sqrt(p_r * (1 - p_r) / n_obj)
     bad_cols = sum(
         1 for a in range(n_attr)
-        if abs(ctx.column_masks[a].bit_count() / n_obj - p_r) > sigma3_col)
+        if abs(column_mask(ctx, a).bit_count() / n_obj - p_r) > sigma3_col)
     multi_ok = bad_cols == 0
     report(10, "generator densities within 3 binomial sigma",
            single_ok and multi_ok,

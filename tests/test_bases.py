@@ -1,19 +1,19 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from implbases import (FormalContext, Implication, ImplicationBase, IndexSet,
                        SingleParamSpec, attribute_hypergraph,
                        format_implications, gen_single, minimal_transversals,
                        proper_premise_base, proper_premises_of, stem_base)
-from implbases.bases import premise_counts
+from implbases.bases import _closure_mask, premise_counts
 from implbases.sets import sorted_sets
 
 from conftest import random_contexts
 from oracles import (BRUTE_FORCE_PSEUDO_INTENT_LIMIT,
                      brute_force_proper_premises, brute_force_pseudo_intents,
-                     close_fixpoint, close_once, closure, implication_holds,
-                     next_closure_stem)
+                     close_fixpoint, close_once, closure, column_mask,
+                     implication_holds, next_closure_stem)
 
 
 def members(family):
@@ -148,7 +148,7 @@ def test_oracle_equivalence_on_random_contexts():
             premises = proper_premises_of(ctx, a)
             assert premises == brute_force_proper_premises(ctx, a)
             # the trivial transversal {a} is counted unless column a is full
-            full = ctx.column_masks[a] == (1 << ctx.n_objects) - 1
+            full = column_mask(ctx, a) == (1 << ctx.n_objects) - 1
             assert count == len(premises) + (not full)
 
 
@@ -289,6 +289,16 @@ def test_stem_base_matches_next_closure_and_brute_force(ctx):
     assert pairs == next_closure_stem(ctx)
     premises = sorted_sets(ctx.n_attributes, (p for p, _ in pairs))
     assert premises == brute_force_pseudo_intents(ctx)
+
+
+@given(small_contexts(max_objects=6, max_attributes=6))
+@example(FormalContext.from_row_masks(0, 4, []))
+@example(FormalContext.from_row_masks(5, 3, [0b101, 0b011, 0b101, 0b101, 0]))
+@settings(max_examples=200, deadline=None)
+def test_closure_mask_matches_oracle_closure(ctx):
+    n = ctx.n_attributes
+    for x in range(1 << n):
+        assert _closure_mask(ctx, x) == closure(ctx, IndexSet.from_mask(n, x)).mask
 
 
 def _contranominal(n):

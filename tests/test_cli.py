@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from implbases import (SingleParamSpec, gen_single, parse_csv,
-                       proper_premise_base, write_burmeister)
+                       proper_premise_base, read_burmeister_file,
+                       write_burmeister)
 
 
 def run_cli(*args, expect_code=0):
@@ -37,6 +38,21 @@ def test_compute_json(toy_context_path):
     assert payload["attributes"] == 5
     imps = payload["bases"]["proper"]["implications"]
     assert {"premise": ["a2", "a3", "a5"], "conclusion": ["a1"]} in imps
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_compute_reads_a_csv_matrix_as_its_burmeister_file(fmt, tmp_path):
+    cxt, csv = tmp_path / "g.cxt", tmp_path / "g.csv"
+    run_cli("gen", "--objects", "12", "--attributes", "9", "--p", "0.4",
+            "--seed", "11", "--out", str(cxt))
+    ctx = read_burmeister_file(str(cxt))
+    csv.write_text("".join(
+        ",".join(str(row >> a & 1) for a in range(ctx.n_attributes)) + "\n"
+        for row in ctx.row_masks))
+    outs = [run_cli("compute", str(path), "--base", "both",
+                    "--format", fmt).stdout for path in (cxt, csv)]
+    assert outs[0] == outs[1]
+    assert b"proper" in outs[0] and b"stem" in outs[0]
 
 
 def test_compute_full_relation_empty_premise(tmp_path):

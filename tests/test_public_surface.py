@@ -100,6 +100,6 @@ def test_value_types_pickle_and_copy(clone):
         assert repr(out) == repr(value)
     for ctx in (named, sampled):
         out = clone(ctx)
-        assert ((out.object_names, out.attribute_names, out.column_masks)
-                == (ctx.object_names, ctx.attribute_names, ctx.column_masks))
+        assert ((out.object_names, out.attribute_names, out.row_masks)
+                == (ctx.object_names, ctx.attribute_names, ctx.row_masks))
     assert clone(named).attribute_names == ("red", "green", "blue", "teal")

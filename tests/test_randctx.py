@@ -7,6 +7,8 @@ from implbases import (MultiParamSpec, SingleParamSpec, effective_probabilities,
                        gen_multi, gen_single, write_burmeister)
 from implbases.randctx import _column_states
 
+from oracles import column_mask
+
 
 def test_spec_validation():
     with pytest.raises(ValueError):
@@ -84,7 +86,7 @@ def test_rare_density_tracks_inverse_log():
     p_r = 1 / math.log(n)
     sigma = math.sqrt(p_r * (1 - p_r) / m)
     for a in range(n):
-        density = ctx.column_masks[a].bit_count() / m
+        density = column_mask(ctx, a).bit_count() / m
         assert abs(density - p_r) <= 3 * sigma
 
 
@@ -104,7 +106,7 @@ def test_column_cross_counts_pass_chi_square():
     counts = []
     for seed in range(trials):
         ctx = gen_single(SingleParamSpec(m, 1, p, seed=seed))
-        counts.append(ctx.column_masks[0].bit_count())
+        counts.append(column_mask(ctx, 0).bit_count())
     bins = [(0, 16), (17, 18), (19, 19), (20, 20), (21, 22), (23, m)]
     observed = [sum(1 for c in counts if lo <= c <= hi) for lo, hi in bins]
     expected = [trials * sum(stats.binom.pmf(k, m, p) for k in range(lo, hi + 1))
@@ -134,6 +136,11 @@ def _per_column_masks(n_objects, n_attributes, probs, seed):
     return tuple(rows), tuple(cols)
 
 
+def _rows_and_columns(ctx):
+    return ctx.row_masks, tuple(column_mask(ctx, a)
+                                for a in range(ctx.n_attributes))
+
+
 # seeds of 1, 2, 3, 4 and more than 4 uint32 words: SeedSequence pads a
 # seed shorter than its 4-word pool and mixes any later word in afterwards
 SEEDS = [2 ** 90 + 12345, 0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1,
@@ -150,7 +157,7 @@ SHAPES = [(0, 0, 0.5), (0, 7, 0.5), (9, 0, 0.5),
     for seed in SEEDS for shape in SHAPES])
 def test_sampler_matches_per_column_streams(objects, attributes, p, seed):
     ctx = gen_single(SingleParamSpec(objects, attributes, p, seed=seed))
-    assert (ctx.row_masks, ctx.column_masks) == _per_column_masks(
+    assert _rows_and_columns(ctx) == _per_column_masks(
         objects, attributes, [p] * attributes, seed)
 
 
@@ -173,6 +180,6 @@ def test_column_states_match_numpy_for_every_seed_width(seed):
 ])
 def test_multi_sampler_matches_per_column_streams(spec):
     ctx = gen_multi(spec)
-    assert (ctx.row_masks, ctx.column_masks) == _per_column_masks(
+    assert _rows_and_columns(ctx) == _per_column_masks(
         spec.n_objects, spec.n_attributes, effective_probabilities(spec),
         spec.seed)
