@@ -9,14 +9,16 @@ trivial transversal {a} removed. One per-attribute step,
 premises as the kernel's compressed family (``hypergraph``);
 ``proper_premises_of`` expands and sorts it, and the base and
 ``premise_counts`` each call it for every attribute in turn. The base
-expands each attribute's family, merges the premises into a premise ->
-conclusion map and orders the premise masks once, on
-``sets.mask_order_key``, a string that orders masks as their member
-tuples do without building them. ``premise_counts``, the sweep's
-count-only consumer, reads each attribute's count off its compressed
-family, expands the whole context's families into one numpy array and
-counts the distinct premises in one sort of it: the pairs are its
-length. The Duquenne-Guigues (stem) base is enumerated in lectic order
+works on numpy arrays of masks (``sets.mask_dtype``): it expands each
+attribute's family, puts the attribute's bit beside each premise, sorts
+all of them by mask, ORs each run of equal premises' bits into its
+conclusion (``np.bitwise_or.reduceat``) and orders the distinct
+premises by ``sets.member_ranks``, the one key that orders masks as
+their member tuples do without building them. ``premise_counts``, the
+sweep's count-only consumer, reads each attribute's count off its
+compressed family, expands the whole context's families into one numpy
+array and counts the distinct premises in one sort of it: the pairs are
+its length. The Duquenne-Guigues (stem) base is enumerated in lectic order
 by one Next-Closure loop over the sets closed under strict application
 of the implications found so far. The strict closure reads the
 implications through a per-attribute index of bitsets (one Python int
@@ -31,9 +33,13 @@ holds (premise mask, conclusion mask) pairs. Its one constructor takes
 those pairs and checks the invariants of ``Implication`` and of the base
 on the masks, with their texts; copies and unpickled bases go through it
 too; ``Implication`` objects are made only when a caller iterates the
-base or asks for ``implications``, and ``format_implications`` reads the
-masks. ``format_implications`` computes each premise's member tuple once
-and each distinct conclusion's once, and sorts the text lines on them.
+base or asks for ``implications``, and the renderers read the masks as
+two numpy arrays (``ImplicationBase.mask_arrays``).
+``format_implications`` orders the lines by the premises' and the
+conclusions' ranks in one ``np.lexsort`` and reads the names off
+per-byte tables (``sets.member_texts``), so that no member tuple is
+built and no tuple is sorted; ``cli`` renders the JSON from the same
+kind of tables.
 
 The test suite checks both constructions against brute-force oracles
 (``tests/oracles.py``): a scan of all attribute subsets for the proper
@@ -46,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from operator import and_, or_
+from operator import and_, itemgetter, or_
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -54,8 +60,8 @@ import numpy as np
 from .context import FormalContext
 from .hypergraph import (Family, Hypergraph, _transversal_array,
                          _transversal_masks)
-from .sets import (AttributeSet, IndexSet, mask_members, mask_order_key,
-                   sorted_sets)
+from .sets import (AttributeSet, IndexSet, mask_dtype, member_ranks,
+                   member_tables, member_texts, sorted_sets)
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,6 +145,13 @@ class ImplicationBase:
     def mask_pairs(self) -> list[tuple[int, int]]:
         """Each implication's (premise mask, conclusion mask), in order."""
         return list(self._pairs)
+
+    def mask_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The premise masks and the conclusion masks, in order, as two
+        numpy arrays of ``sets.mask_dtype``."""
+        dtype, count = mask_dtype(self.n_attributes), len(self._pairs)
+        return tuple(np.fromiter(map(itemgetter(side), self._pairs), dtype,
+                                 count) for side in (0, 1))
 
     @property
     def premise_count(self) -> int:
@@ -234,19 +247,31 @@ def premise_counts(ctx: FormalContext) -> tuple[list[int], int, int]:
 
 
 def proper_premise_base(ctx: FormalContext) -> ImplicationBase:
-    """Union over attributes of their proper premises, merged at mask
-    level so that implications sharing a premise aggregate conclusions.
+    """Union over attributes of their proper premises, merged so that
+    implications sharing a premise aggregate conclusions: each
+    attribute's expanded premises, with its bit beside each, are sorted
+    together by mask, each run of equal premises ORs its bits into one
+    conclusion, and the distinct premises are put in member-tuple order.
     """
     n = ctx.n_attributes
-    merged: dict[int, int] = {}  # premise mask -> conclusion mask
-    for a in range(n):
-        abit = 1 << a
-        family = _attribute_premises(ctx.row_masks, n, a)[0]
-        for p in _transversal_array(n, [family]).tolist():
-            merged[p] = merged.get(p, 0) | abit
-    premises = sorted(merged, key=mask_order_key)
-    return ImplicationBase(
-        zip(premises, map(merged.__getitem__, premises)), "proper", n)
+    dtype = mask_dtype(n)
+    parts = [_transversal_array(
+        n, [_attribute_premises(ctx.row_masks, n, a)[0]]) for a in range(n)]
+    bits = np.repeat(np.array([1 << a for a in range(n)], dtype),
+                     [part.size for part in parts])
+    premises = np.concatenate([np.empty(0, dtype), *parts])
+    del parts  # each array is dropped once used: a base's peak memory
+    order = premises.argsort()
+    premises, bits = premises[order], bits[order]
+    del order
+    starts = np.ones(premises.size, bool)
+    starts[1:] = premises[1:] != premises[:-1]
+    starts = np.flatnonzero(starts)
+    premises = premises[starts]
+    conclusions = np.bitwise_or.reduceat(bits, starts)
+    order = member_ranks(premises, n).argsort()
+    return ImplicationBase(zip(premises[order].tolist(),
+                               conclusions[order].tolist()), "proper", n)
 
 
 # -- stem base ------------------------------------------------------------------
@@ -365,21 +390,24 @@ def format_implications(base: ImplicationBase,
     attribute index, lines sorted by (premise, conclusion) index tuples.
     An empty premise renders as a line starting with '->'.
 
-    Each premise's member tuple is computed once, and each distinct
-    conclusion's member tuple and text once: conclusions repeat, premises
-    seldom do.
+    The lines are ordered by the premises' and then the conclusions'
+    ``member_ranks``, and their names read off per-byte tables
+    (``member_texts``) that join them with spaces, a conclusion's led
+    by ' -> '. The text is built in place, to hold as few strings as
+    the listing needs at once.
     """
-    pairs = base.mask_pairs()
-    if not pairs:
+    if not len(base):
         return ""
-    name = attribute_names.__getitem__
-    premises, conclusions = zip(*pairs)
-    members = {c: mask_members(c) for c in set(conclusions)}
-    texts = {c: " ".join(map(name, m)) for c, m in members.items()}
-    lines = []
-    for premise, _, c in sorted(zip(map(mask_members, premises),
-                                    map(members.__getitem__, conclusions),
-                                    conclusions)):
-        lhs = " ".join(map(name, premise))
-        lines.append(f"{lhs} -> {texts[c]}" if lhs else f"-> {texts[c]}")
-    return "\n".join(lines) + "\n"
+    n = base.n_attributes
+    premises, conclusions = base.mask_arrays()
+    order = np.lexsort((member_ranks(conclusions, n),
+                        member_ranks(premises, n)))
+    names = attribute_names[:n]
+    spaced = [f" {a}" for a in names]
+    lines = member_texts(premises[order], member_tables(spaced, names))
+    rhs = member_texts(conclusions[order],
+                       member_tables(spaced, [f" -> {a}" for a in names]))
+    bare = lines == ""  # the empty premise, or one empty name
+    lines += rhs
+    lines[bare] = [text[1:] for text in rhs[bare]]
+    return "\n".join([*lines.tolist(), ""])

@@ -4,10 +4,12 @@ evaluate bounds, run sweeps, fit constants.
 All output is deterministic for fixed flags (wall-clock columns are
 opt-in), so identical invocations produce identical bytes. The JSON of
 ``compute`` is written by one renderer, ``_write_bases_json``, straight
-from the bases' masks and in pieces: its bytes equal
-``json.dumps(payload, indent=2, sort_keys=True)`` of the payload it
-describes, whose pure-Python indenting encoder would cost several times
-more on a large base.
+from the bases' mask arrays and in pieces, its name lists read off
+per-byte tables of ``json.dumps``-encoded names (``sets.member_texts``):
+its bytes equal ``json.dumps(payload, indent=2, sort_keys=True)`` of the
+payload it describes, whose pure-Python indenting encoder would cost
+several times more on a large base. A command whose stdout reader stops
+early (``| head``) exits 1 with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -24,7 +27,7 @@ from .bounds import base_size_log10, classify_regime, context_exponents
 from .ctxio import read_context_file, write_burmeister
 from .randctx import (MultiParamSpec, SampleTooLarge, gen_multi, gen_single,
                       spec_from_cell, spec_to_keyvalues)
-from .sets import mask_members
+from .sets import member_tables, member_texts
 from .sweep import (DEFAULT_MAX_PROPER_ATTRIBUTES, DEFAULT_MAX_STEM_ATTRIBUTES,
                     FitError, SweepSpec, check_workers, fit_exponent,
                     parse_csv, record_fields, render_csv, run_sweep,
@@ -204,31 +207,33 @@ def _write_bases_json(out, ctx, results: dict) -> None:
     for the payload ``{"objects", "attributes", "bases": {kind: {
     "implications": [{"premise": [names], "conclusion": [names]}, ...],
     "implication_count", "premise_count", "pair_count"}}}``, without
-    building it: each attribute name is encoded once by ``json.dumps``,
-    each distinct conclusion is rendered once, and the implications are
-    written ``_JSON_PIECE`` at a time, in their base order, so that no
-    copy of the whole text is ever held."""
-    member = [f"\n            {json.dumps(name)}" for name in ctx.attribute_names]
+    building it: each attribute name is encoded once by ``json.dumps``
+    into per-byte tables of name lists (``sets.member_tables``), and the
+    implications are rendered and written ``_JSON_PIECE`` at a time, in
+    their base order, so that no copy of the whole text is ever held."""
+    items = [f"\n            {json.dumps(name)}" for name in ctx.attribute_names]
+    tables = member_tables([f",{item}" for item in items],
+                           [f"[{item}" for item in items])
 
-    def name_list(mask: int) -> str:  # at an implication's member depth
-        if not mask:
-            return "[]"
-        return f"[{','.join([member[a] for a in mask_members(mask)])}\n          ]"
+    def name_lists(masks):  # at an implication's member depth
+        lists = member_texts(masks, tables) + "\n          ]"
+        lists[masks == 0] = "[]"
+        return lists
 
     out.write(f'{{\n  "attributes": {ctx.n_attributes},\n  "bases": {{')
     for i, (kind, base) in enumerate(sorted(results.items())):
-        pairs = base.mask_pairs()
+        premises, conclusions = base.mask_arrays()
         out.write(f'{"," if i else ""}\n    "{kind}": {{'
                   f'\n      "implication_count": {len(base)},'
-                  f'\n      "implications": {"[" if pairs else "[]"}')
-        if pairs:
-            conclusions = {c: name_list(c) for c in {c for _, c in pairs}}
-            out.writelines(
-                ("," if start else "") + ",".join([
-                    f'\n        {{\n          "conclusion": {conclusions[c]},'
-                    f'\n          "premise": {name_list(p)}\n        }}'
-                    for p, c in pairs[start:start + _JSON_PIECE]])
-                for start in range(0, len(pairs), _JSON_PIECE))
+                  f'\n      "implications": {"[" if len(base) else "[]"}')
+        for start in range(0, len(base), _JSON_PIECE):
+            piece = slice(start, start + _JSON_PIECE)
+            records = ('\n        {\n          "conclusion": '
+                       + name_lists(conclusions[piece])
+                       + ',\n          "premise": '
+                       + name_lists(premises[piece]) + "\n        }")
+            out.write(("," if start else "") + ",".join(records.tolist()))
+        if len(base):
             out.write("\n      ]")
         out.write(f',\n      "pair_count": {base.pair_count},'
                   f'\n      "premise_count": {base.premise_count}\n    }}')
@@ -367,7 +372,14 @@ def main(argv: list[str] | None = None) -> int:
         "sweep": cmd_sweep,
         "fit": cmd_fit,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except BrokenPipeError:
+        # stdout's reader stopped early (``| head``): exit 1 with no
+        # traceback, and point stdout at devnull, so that the flush at
+        # exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

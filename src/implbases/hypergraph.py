@@ -12,12 +12,13 @@ unblocked candidates there, which stands for one minimal transversal
 per candidate. So the kernel returns a compressed family: the
 transversals it completed one at a time (the singles) and those pairs.
 ``_transversal_array`` expands compressed families into one numpy
-array, peeling the lowest candidate off every pair at once; it alone
-picks the dtype (``uint64`` up to 64 vertices, Python ints above).
-``bases.premise_counts`` expands a whole context's families at once,
-and the other callers expand one family and sort its ``tolist()`` at
-the boundary (``sets.sorted_sets``). Inner loops work on raw bitmasks
-and return families in no fixed order.
+array, peeling the lowest candidate off every pair at once, in the
+dtype of ``sets.mask_dtype`` (``uint64`` up to 64 vertices, Python ints
+above). ``bases.premise_counts`` expands a whole context's families at
+once, ``bases.proper_premise_base`` one attribute's family at a time
+and merges the arrays, and the other callers expand one family and sort
+its ``tolist()`` at the boundary (``sets.sorted_sets``). Inner loops
+work on raw bitmasks and return families in no fixed order.
 
 A ``Hypergraph`` is a frozen slotted dataclass over ``IndexSet`` edges,
 made at the API boundary only.
@@ -37,7 +38,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .sets import IndexSet, sorted_sets
+from .sets import IndexSet, mask_dtype, sorted_sets
 
 # a compressed transversal family: (singles, prefixes, frees), as
 # ``_transversal_masks`` returns it
@@ -226,7 +227,7 @@ def _transversal_array(n: int, families: Iterable[Family]) -> np.ndarray:
     at once. The pairs are then expanded together, one round per bit of
     the fullest ``f``: each round emits ``t | w`` for the lowest bit
     ``w`` of every ``f`` at once and keeps the pairs with bits left."""
-    dtype = np.uint64 if n <= 64 else object
+    dtype = mask_dtype(n)
     empty = np.empty(0, dtype)
     parts: tuple[list[np.ndarray], ...] = ([empty], [empty], [empty])
     for singles, prefixes, frees in families:

@@ -9,16 +9,22 @@ of ``stem_base``. The derivation operators of a context (its columns read
 off the rows one attribute at a time), its closure and implication
 validity are here as functions of a context, and so are the
 single-pass and fixpoint closures under an implication base. Every
-closure of a context here is ``closure`` below. None of this is part of
-the ``implbases`` package; the program runs none of it.
+closure of a context here is ``closure`` below. The renderers of a base
+have references that work one mask at a time on member tuples: the
+proper-premise base merged through a premise -> conclusion dict, the
+text listing sorted on member tuples, and the ``compute`` JSON as
+``json.dumps`` of its whole payload. None of this is part of the
+``implbases`` package; the program runs none of it.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import json
+from typing import Callable, Sequence
 
-from implbases import FormalContext, Hypergraph, ImplicationBase, IndexSet
-from implbases.sets import AttributeSet, sorted_sets
+from implbases import (FormalContext, Hypergraph, ImplicationBase, IndexSet,
+                       proper_premises_of)
+from implbases.sets import AttributeSet, mask_members, sorted_sets
 
 BRUTE_FORCE_VERTEX_LIMIT = 20
 BRUTE_FORCE_PREMISE_LIMIT = 15
@@ -234,3 +240,52 @@ def close_fixpoint(base: ImplicationBase, x: AttributeSet) -> AttributeSet:
                 mask |= c
                 changed = True
     return IndexSet.from_mask(x.universe, mask)
+
+
+# -- rendering a base ----------------------------------------------------------------
+
+
+def merged_proper_premise_base(ctx: FormalContext) -> ImplicationBase:
+    """Reference: each attribute's proper premises (``proper_premises_of``)
+    merged into a premise -> conclusion dict, the premises ordered by
+    their member tuples."""
+    n = ctx.n_attributes
+    merged: dict[int, int] = {}
+    for a in range(n):
+        for premise in proper_premises_of(ctx, a):
+            merged[premise.mask] = merged.get(premise.mask, 0) | 1 << a
+    return ImplicationBase(
+        [(p, merged[p]) for p in sorted(merged, key=mask_members)], "proper", n)
+
+
+def listed_implications(base: ImplicationBase,
+                        attribute_names: Sequence[str]) -> str:
+    """Reference for ``format_implications``: one line per implication,
+    names joined by spaces, lines sorted on (premise, conclusion) member
+    tuples."""
+    lines = []
+    for premise, conclusion in sorted(
+            (mask_members(p), mask_members(c)) for p, c in base.mask_pairs()):
+        lhs, rhs = (" ".join(attribute_names[a] for a in side)
+                    for side in (premise, conclusion))
+        lines.append(f"{lhs} -> {rhs}" if lhs else f"-> {rhs}")
+    return "".join(line + "\n" for line in lines)
+
+
+def bases_json(ctx: FormalContext, results: dict) -> str:
+    """Reference for ``compute --format json``: the json module's text
+    of the whole payload, each base's implications in base order."""
+    def names(mask: int) -> list[str]:
+        return [ctx.attribute_names[a] for a in mask_members(mask)]
+
+    payload = {"objects": ctx.n_objects, "attributes": ctx.n_attributes,
+               "bases": {kind: {
+                   "implications": [{"premise": names(p),
+                                     "conclusion": names(c)}
+                                    for p, c in base.mask_pairs()],
+                   "implication_count": len(base),
+                   "premise_count": len({p for p, _ in base.mask_pairs()}),
+                   "pair_count": sum(c.bit_count()
+                                     for _, c in base.mask_pairs())}
+                   for kind, base in results.items()}}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

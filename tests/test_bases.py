@@ -9,11 +9,12 @@ from implbases import (FormalContext, Implication, ImplicationBase, IndexSet,
 from implbases.bases import _closure_mask, premise_counts
 from implbases.sets import sorted_sets
 
-from conftest import random_contexts
+from conftest import attribute_names, implication_bases, random_contexts
 from oracles import (BRUTE_FORCE_PSEUDO_INTENT_LIMIT,
                      brute_force_proper_premises, brute_force_pseudo_intents,
                      close_fixpoint, close_once, closure, column_mask,
-                     implication_holds, next_closure_stem)
+                     implication_holds, listed_implications,
+                     merged_proper_premise_base, next_closure_stem)
 
 
 def members(family):
@@ -355,6 +356,35 @@ def test_format_orders_by_member_tuples():
 
 def test_format_empty_base():
     assert format_implications(ImplicationBase((), "stem", 2), ("a1", "a2")) == ""
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_format_matches_the_member_tuple_listing(data):
+    base = data.draw(implication_bases())
+    names = data.draw(attribute_names(base.n_attributes))
+    assert format_implications(base, names) == listed_implications(base, names)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 70])
+def test_proper_base_and_listing_match_the_references_at_the_dtype_switch(n):
+    # masks of uint64 (63, 64 attributes) and of Python ints (65, 70),
+    # with the top attribute in use
+    for seed in range(3):
+        ctx = gen_single(SingleParamSpec(5, n, 0.6, seed=seed))
+        base = proper_premise_base(ctx)
+        assert base == merged_proper_premise_base(ctx)
+        assert max(p | c for p, c in base.mask_pairs()) >> n - 1
+        assert (format_implications(base, ctx.attribute_names)
+                == listed_implications(base, ctx.attribute_names))
+
+
+def test_proper_base_matches_the_dict_merge(toy_context):
+    for ctx in [toy_context, FormalContext([[1, 1, 1]]), _contranominal(5),
+                FormalContext.from_row_masks(0, 3, []),
+                FormalContext.from_row_masks(2, 0, [0, 0])] + random_contexts(
+                    60, max_objects=14, max_attributes=12, base_seed=13):
+        assert proper_premise_base(ctx) == merged_proper_premise_base(ctx)
 
 
 def test_proper_premises_are_the_hypergraph_transversals_without_a(toy_context):

@@ -1,12 +1,19 @@
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from implbases import (SingleParamSpec, gen_single, parse_csv,
-                       proper_premise_base, read_burmeister_file,
+from implbases import (FormalContext, SingleParamSpec, gen_single, parse_csv,
+                       proper_premise_base, read_burmeister_file, stem_base,
                        write_burmeister)
+from implbases.cli import _JSON_PIECE, _write_bases_json
+
+from conftest import attribute_names, implication_bases
+from oracles import bases_json
 
 
 def run_cli(*args, expect_code=0):
@@ -92,6 +99,27 @@ def test_compute_stem_size_guard(tmp_path):
         "error: refusing stem-base computation for 25 attributes (guard 24)\n")
     # overridable
     run_cli("compute", str(path), "--base", "stem", "--max-stem-attrs", "25")
+
+
+@pytest.mark.parametrize("lines", [0, 1])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_compute_into_a_closed_pipe_ends_quietly(fmt, lines, tmp_path):
+    """A reader that stops after one line (``| head -1``), or before the
+    first, ends the listing of a 24,000-implication base with exit 1
+    and nothing on stderr: no traceback, and no second error when the
+    bytes still buffered are flushed at exit."""
+    path = tmp_path / "g30.cxt"
+    path.write_text(write_burmeister(
+        gen_single(SingleParamSpec(30, 30, 0.5, seed=7))))
+    with open(tmp_path / "err", "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "implbases", "compute", str(path),
+             "--format", fmt], stdout=subprocess.PIPE, stderr=err)
+        for _ in range(lines):
+            assert proc.stdout.readline()
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 1
+    assert (tmp_path / "err").read_bytes() == b""
 
 
 def _listing_order(implication):
@@ -761,6 +789,38 @@ def test_compute_json_is_the_json_module_rendering(context, base, tmp_path):
     if context == "contranominal":
         assert all(payload["bases"][kind]["implications"] == []
                    for kind in kinds)
+
+
+def _json_of(ctx, results) -> str:
+    out = io.StringIO()
+    _write_bases_json(out, ctx, results)
+    return out.getvalue()
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_json_renderer_writes_the_json_module_text(data):
+    """On made bases, repeated and empty premises, awkward names and 0
+    to 70 attributes among them, the renderer writes what the json
+    module writes for the whole payload."""
+    proper = data.draw(implication_bases())
+    n = proper.n_attributes
+    ctx = FormalContext.from_row_masks(
+        2, n, [0, (1 << n) - 1], attribute_names=data.draw(attribute_names(n)))
+    kinds = data.draw(st.sampled_from([("proper",), ("stem",),
+                                       ("proper", "stem")]))
+    results = {kind: base for kind, base in zip(
+        kinds, (proper, data.draw(implication_bases(n))))}
+    assert _json_of(ctx, results) == bases_json(ctx, results)
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 70])
+def test_json_renderer_over_several_pieces_at_the_dtype_switch(n):
+    # more implications than one piece holds, on both mask dtypes
+    ctx = gen_single(SingleParamSpec(6, n, 0.6, seed=n))
+    results = {"proper": proper_premise_base(ctx), "stem": stem_base(ctx)}
+    assert len(results["proper"]) > _JSON_PIECE
+    assert _json_of(ctx, results) == bases_json(ctx, results)
 
 
 INDEX_OVERFLOW_COUNT = "1" + "0" * 300  # a float holds it, an index does not

@@ -1,9 +1,10 @@
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from implbases import IndexSet
-from implbases.sets import mask_members, mask_order_key, sorted_sets
+from implbases.sets import mask_dtype, mask_members, member_ranks, sorted_sets
 
 
 def members(universe):
@@ -74,9 +75,36 @@ EDGE_MASKS = [0, 63, 64, 65, (1 << 63) - 1, 1 << 63, (1 << 64) - 1, 1 << 64,
 @given(st.lists(st.integers(min_value=1, max_value=130).flatmap(
     lambda bits: st.integers(min_value=0, max_value=(1 << bits) - 1)),
     max_size=30))
-def test_mask_order_key_orders_masks_as_their_member_tuples(masks):
-    masks = masks + EDGE_MASKS
-    assert (sorted(masks, key=mask_order_key)
-            == sorted(masks, key=mask_members))
-    distinct = set(masks)  # one key per set, so no two sets tie
-    assert len(set(map(mask_order_key, distinct))) == len(distinct)
+def test_member_ranks_order_masks_as_their_member_tuples(masks):
+    # as uint64 ranks over 64 attributes and as Python ints over 130
+    for universe in (64, 130):
+        family = [m for m in masks + EDGE_MASKS if not m >> universe]
+        ranks = member_ranks(np.array(family, mask_dtype(universe)),
+                             universe).tolist()
+        key = dict(zip(family, ranks)).__getitem__
+        assert sorted(family, key=key) == sorted(family, key=mask_members)
+        distinct = set(family)  # one key per set, so no two sets tie
+        assert len(set(map(key, distinct))) == len(distinct)
+
+
+@pytest.mark.parametrize("universe", [0, 1, 2, 5, 10])
+def test_member_ranks_number_the_subsets_in_member_tuple_order(universe):
+    masks = sorted(range(1 << universe), key=mask_members)
+    for dtype in (np.uint64, object):
+        ranks = member_ranks(np.array(masks, dtype), universe)
+        assert ranks.dtype == dtype
+        assert ranks.tolist() == list(range(1 << universe))
+
+
+@pytest.mark.parametrize("universe", [63, 64, 65, 70])
+def test_member_ranks_fill_the_dtype_at_its_edges(universe):
+    # the full set and the largest singleton rank last among their
+    # neighbours: 2**universe - 1 is the top rank, which for 64
+    # attributes is the top of uint64
+    full, top = (1 << universe) - 1, 1 << universe - 1
+    masks = [0, 1, full, top, full ^ top, full ^ 1]
+    ranks = member_ranks(np.array(masks, mask_dtype(universe)),
+                         universe).tolist()
+    assert ranks[masks.index(top)] == (1 << universe) - 1
+    assert sorted(masks, key=dict(zip(masks, ranks)).__getitem__) == sorted(
+        masks, key=mask_members)
