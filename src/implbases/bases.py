@@ -4,11 +4,13 @@ Two bases are built here. The base of proper premises (canonical direct
 base) comes from per-attribute hypergraph dualization: the proper
 premises of attribute `a` are the minimal transversals of the hypergraph
 whose edges are the complements of the rows missing `a`, with the
-trivial transversal {a} removed. One per-attribute step,
-``_attribute_premises``, dualizes `a` and drops {a}, and returns the
-premises as the kernel's compressed family (``hypergraph``);
-``proper_premises_of`` expands and sorts it, and the base and
-``premise_counts`` each call it for every attribute in turn. The base
+trivial transversal {a} removed. ``_premise_edges`` builds every
+attribute's minimized edges in one pass over the distinct row
+complements. One per-attribute step, ``_attribute_premises``, dualizes
+`a` and drops {a} from the root's pair, and returns the premises as the
+kernel's compressed family (``hypergraph``); ``proper_premises_of``
+expands and sorts it, and the base and ``premise_counts`` each call it
+for every attribute in turn. The base
 works on numpy arrays of masks (``sets.mask_dtype``): it expands each
 attribute's family, puts the attribute's bit beside each premise, sorts
 all of them by mask, ORs each run of equal premises' bits into its
@@ -175,13 +177,47 @@ class ImplicationBase:
 # -- proper premises ----------------------------------------------------------
 
 
+def _check_attribute(n: int, a: int) -> None:
+    if not 0 <= a < n:
+        raise ValueError(f"attribute {a} outside universe {n}")
+
+
 def _attribute_edges(rows: Sequence[int], n: int, a: int) -> list[int]:
     """Edge masks of attribute `a`'s hypergraph: the complement of every
     row that misses `a`, in row order."""
-    if not 0 <= a < n:
-        raise ValueError(f"attribute {a} outside universe {n}")
+    _check_attribute(n, a)
     full = (1 << n) - 1
     return [full & ~row for row in rows if not (row >> a & 1)]
+
+
+def _premise_edges(rows: Sequence[int], n: int) -> list[list[int]]:
+    """Every attribute's minimized edges, built in one pass over the row
+    masks `rows` of an `n`-attribute context: list `a` equals
+    ``_minimize_masks(_attribute_edges(rows, n, a))``, order included.
+    The distinct row complements are taken in that order (by size, then
+    by mask); each is a minimal edge of the attributes it holds that no
+    smaller kept complement inside it holds, and is kept if that leaves
+    any. Only kept ones need comparing: a smaller complement that holds
+    `a` contains a minimal edge of `a`."""
+    full = (1 << n) - 1
+    ordered = sorted({full & ~row for row in rows})
+    ordered.sort(key=int.bit_count)
+    edges: list[list[int]] = [[] for _ in range(n)]
+    kept: list[int] = []
+    for c in ordered:
+        attrs = c
+        for k in kept:
+            if k & c == k:
+                attrs &= ~k
+                if not attrs:
+                    break
+        if attrs:
+            kept.append(c)
+            while attrs:
+                low = attrs & -attrs
+                attrs ^= low
+                edges[low.bit_length() - 1].append(c)
+    return edges
 
 
 def attribute_hypergraph(ctx: FormalContext, a: int) -> Hypergraph:
@@ -193,28 +229,31 @@ def attribute_hypergraph(ctx: FormalContext, a: int) -> Hypergraph:
     return Hypergraph.from_masks(n, _attribute_edges(ctx.row_masks, n, a))
 
 
-def _attribute_premises(rows: Sequence[int], n: int,
+def _attribute_premises(edges: Sequence[int], n: int,
                         a: int) -> tuple[Family, int]:
     """Attribute `a`'s proper premises, as a compressed family
     (``hypergraph._transversal_masks``), and its minimal-transversal
-    count, over the row masks `rows` of an `n`-attribute context: the one
-    place a context's attribute is dualized and {a} is dropped. A full
-    column keeps its one transversal {}: `a` follows from nothing."""
-    singles, prefixes, frees = _transversal_masks(
-        n, _attribute_edges(rows, n, a))
+    count, from its minimized edges (``_premise_edges``) in an
+    `n`-attribute context: the one place an attribute is dualized and
+    {a} is dropped. A full column keeps its one transversal {}: `a`
+    follows from nothing."""
+    singles, prefixes, frees = family = _transversal_masks(n, edges)
     count = len(singles) + sum(map(int.bit_count, frees))
-    if singles != [0]:
-        # `a` lies in every edge, so the root's child for `a` covers
-        # every edge and {a} is a single; below the root `a` is blocked
-        # everywhere, so no other transversal contains it
-        singles.remove(1 << a)
-    return (singles, prefixes, frees), count
+    if not singles:
+        # `a` lies in every edge, so it completes the root, whose pair
+        # (0, its completing vertices) is recorded first; below the root
+        # `a` is blocked everywhere, so no other transversal contains it
+        frees[0] ^= 1 << a
+        if not frees[0]:
+            del prefixes[0], frees[0]
+    return family, count
 
 
 def proper_premises_of(ctx: FormalContext, a: int) -> list[AttributeSet]:
     """Proper premises of `a`, sorted; [{}] when column `a` is full."""
     n = ctx.n_attributes
-    family = _attribute_premises(ctx.row_masks, n, a)[0]
+    _check_attribute(n, a)
+    family = _attribute_premises(_premise_edges(ctx.row_masks, n)[a], n, a)[0]
     return sorted_sets(n, _transversal_array(n, [family]).tolist())
 
 
@@ -234,8 +273,8 @@ def premise_counts(ctx: FormalContext) -> tuple[list[int], int, int]:
     counts: list[int] = []
 
     def families() -> Iterator[Family]:
-        for a in range(n):
-            family, count = _attribute_premises(ctx.row_masks, n, a)
+        for a, edges in enumerate(_premise_edges(ctx.row_masks, n)):
+            family, count = _attribute_premises(edges, n, a)
             counts.append(count)
             yield family
 
@@ -255,8 +294,8 @@ def proper_premise_base(ctx: FormalContext) -> ImplicationBase:
     """
     n = ctx.n_attributes
     dtype = mask_dtype(n)
-    parts = [_transversal_array(
-        n, [_attribute_premises(ctx.row_masks, n, a)[0]]) for a in range(n)]
+    parts = [_transversal_array(n, [_attribute_premises(edges, n, a)[0]])
+             for a, edges in enumerate(_premise_edges(ctx.row_masks, n))]
     bits = np.repeat(np.array([1 << a for a in range(n)], dtype),
                      [part.size for part in parts])
     premises = np.concatenate([np.empty(0, dtype), *parts])

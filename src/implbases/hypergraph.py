@@ -1,24 +1,22 @@
 """Hypergraphs over an attribute universe and minimal-transversal enumeration.
 
 The enumerator is MMCS (Murakami & Uno, 2014): a depth-first search
-that adds one vertex of an uncovered edge at a time, keeps the chosen
-set minimal through per-member crit sets by never offering a vertex
-that would empty one, and holds no intermediate family of
-transversals. Every child is built by one update of its crit sets and
-candidates, and each crit set's meet is computed once per search; a
-child with one uncovered edge left starts from its candidates in that
-edge and is not pushed but recorded as one pair, the set so far and its
-unblocked candidates there, which stands for one minimal transversal
-per candidate. So the kernel returns a compressed family: the
-transversals it completed one at a time (the singles) and those pairs.
-``_transversal_array`` expands compressed families into one numpy
-array, peeling the lowest candidate off every pair at once, in the
-dtype of ``sets.mask_dtype`` (``uint64`` up to 64 vertices, Python ints
-above). ``bases.premise_counts`` expands a whole context's families at
-once, ``bases.proper_premise_base`` one attribute's family at a time
-and merges the arrays, and the other callers expand one family and sort
-its ``tolist()`` at the boundary (``sets.sorted_sets``). Inner loops
-work on raw bitmasks and return families in no fixed order.
+that keeps the chosen set minimal through per-member crit sets and
+holds no intermediate family of transversals. It takes an edge family
+that the caller has minimized (``_minimize_masks``, or
+``bases._premise_edges`` for a whole context) and records each
+completed transversal in a pair, the set so far and the vertices that
+each complete it. So the kernel returns a compressed family: those
+pairs, and the one single that no pair can hold, the edgeless
+hypergraph's ``{}``. ``_transversal_array`` expands compressed families
+into one numpy array, peeling the lowest candidate off every pair at
+once, in the dtype of ``sets.mask_dtype`` (``uint64`` up to 64
+vertices, Python ints above). ``bases.premise_counts`` expands a whole
+context's families at once, ``bases.proper_premise_base`` one
+attribute's family at a time and merges the arrays, and the other
+callers expand one family and sort its ``tolist()`` at the boundary
+(``sets.sorted_sets``). Inner loops work on raw bitmasks and return
+families in no fixed order.
 
 A ``Hypergraph`` is a frozen slotted dataclass over ``IndexSet`` edges,
 made at the API boundary only.
@@ -92,7 +90,7 @@ def minimal_transversals(h: Hypergraph) -> list[IndexSet]:
     is empty (nothing can intersect it).
     """
     n = h.vertex_count
-    family = _transversal_masks(n, h.edge_masks)
+    family = _transversal_masks(n, _minimize_masks(h.edge_masks))
     return sorted_sets(n, _transversal_array(n, [family]).tolist())
 
 
@@ -112,12 +110,14 @@ def _minimize_masks(masks: Sequence[int]) -> list[int]:
     return kept
 
 
-def _transversal_masks(n: int, edge_masks: Sequence[int]) -> Family:
+def _transversal_masks(n: int, edges: Sequence[int]) -> Family:
     """Minimal-transversal masks by MMCS (Murakami & Uno, Discrete Appl.
-    Math. 170, 2014), as a compressed family ``(singles, prefixes,
-    frees)``: the singles, plus ``t | w`` for each pair ``(t, f)`` of
-    ``zip(prefixes, frees)`` and each bit ``w`` of ``f`` (never 0). No
-    mask is repeated and none is in a fixed order;
+    Math. 170, 2014) of the minimized edges `edges` (``_minimize_masks``:
+    no repeat, no edge inside another), as a compressed family
+    ``(singles, prefixes, frees)``: the singles, plus ``t | w`` for each
+    pair ``(t, f)`` of ``zip(prefixes, frees)`` and each bit ``w`` of
+    ``f`` (never 0). The only single is the edgeless hypergraph's ``0``.
+    No mask is repeated and none is in a fixed order;
     ``_transversal_array`` expands the family, and callers that need an
     order sort at the boundary.
 
@@ -130,21 +130,23 @@ def _transversal_masks(n: int, edge_masks: Sequence[int]) -> Family:
     the uncovered edge with the fewest candidates; the child for its
     i-th candidate adds that vertex and drops the later ones from the
     candidates, so each minimal transversal is reached once. Every child
-    is minimal by construction: one that covers the last uncovered edge
-    is a single, and a node with an uncovered edge that has no candidate
-    left is a dead end. Every other child is built by one update: its
-    crit sets, and its candidates less the meet of the new member's crit
-    set and of each crit set that lost an edge. Crit sets recur across
-    the search, so each one's meet is computed once per call. A child
-    that leaves one edge uncovered starts that update from its
-    candidates in that edge; it is not pushed but recorded as the pair
-    (its set, its unblocked candidates there), one minimal transversal
-    per candidate, exactly as popping it would emit them. Edges are indices
-    into the minimized family, so ``occ[v]``, the crit sets and the
-    uncovered edges are bitsets over edge indices. The search uses an
-    explicit stack: S can hold more vertices than the recursion limit.
+    is minimal by construction, and a node with an uncovered edge that
+    has no candidate left is a dead end. The scan for the branch edge
+    also meets the uncovered edges: the branch vertices in all of them
+    complete S and are recorded, before any child, as one pair (S, those
+    vertices). Each would be blocked in every other child, so they need
+    no child and no place in a later child's candidates. Every other
+    child is built by one update: its crit sets, and its candidates less
+    the meet of the new member's crit set and of each crit set that lost
+    an edge. Crit sets recur across the search, so each one's meet is
+    computed once per call. A child that leaves one edge uncovered
+    starts that update from its candidates in that edge; it is not
+    pushed but recorded as the pair (its set, its unblocked candidates
+    there), exactly as popping it would record them. Edges are indices
+    into `edges`, so ``occ[v]``, the crit sets and the uncovered edges
+    are bitsets over edge indices. The search uses an explicit stack: S
+    can hold more vertices than the recursion limit.
     """
-    edges = _minimize_masks(edge_masks)
     if not edges:
         return [0], [], []
     occ = [0] * n
@@ -153,7 +155,6 @@ def _transversal_masks(n: int, edge_masks: Sequence[int]) -> Family:
             low = e & -e
             e ^= low
             occ[low.bit_length() - 1] |= 1 << i
-    singles: list[int] = []
     prefixes: list[int] = []
     frees: list[int] = []
     meets: dict[int, int] = {}  # crit set -> its meet, see _meet
@@ -162,51 +163,54 @@ def _transversal_masks(n: int, edge_masks: Sequence[int]) -> Family:
     stack = [(0, [], (1 << len(edges)) - 1, (1 << n) - 1)]
     while stack:
         s, crit, uncov, cand = stack.pop()
-        fewest = n + 1
+        fewest, cover = n + 1, cand
         rest = uncov
         while rest:
             low = rest & -rest
             rest ^= low
             e = edges[low.bit_length() - 1] & cand
+            cover &= e
             c = e.bit_count()
             if c < fewest:
                 fewest, branch = c, e
-                if c <= 1:
+                if not c:
                     break
-        # a dead end (an uncovered edge without candidates) branches on
-        # nothing
+        # a dead end (an uncovered edge without candidates) stops the
+        # scan and branches on nothing
         cand &= ~branch
+        done = branch & cover
+        if done:  # each completes S
+            prefixes.append(s)
+            frees.append(done)
+            branch ^= done
         while branch:
             vbit = branch & -branch
             branch ^= vbit
             ov = occ[vbit.bit_length() - 1]
             left = uncov & ~ov
-            if not left:
-                singles.append(s | vbit)
-            else:
-                # one edge left: only the child's candidates in it count
-                last = not left & (left - 1)
-                free = cand & edges[left.bit_length() - 1] if last else cand
-                child = []
-                for c in crit:
-                    lost = c & ov
-                    if lost:
-                        c ^= lost
-                        free &= ~(meets.get(c) or _meet(meets, edges, c))
-                    child.append(c)
-                c = ov & uncov
+            # one edge left: only the child's candidates in it count
+            last = not left & (left - 1)
+            free = cand & edges[left.bit_length() - 1] if last else cand
+            child = []
+            for c in crit:
+                lost = c & ov
+                if lost:
+                    c ^= lost
+                    free &= ~(meets.get(c) or _meet(meets, edges, c))
                 child.append(c)
-                free &= ~(meets.get(c) or _meet(meets, edges, c))
-                if not last:
-                    stack.append((s | vbit, child, left, free))
-                elif free:  # each free candidate completes the child
-                    prefixes.append(s | vbit)
-                    frees.append(free)
+            c = ov & uncov
+            child.append(c)
+            free &= ~(meets.get(c) or _meet(meets, edges, c))
+            if not last:
+                stack.append((s | vbit, child, left, free))
+            elif free:  # each free candidate completes the child
+                prefixes.append(s | vbit)
+                frees.append(free)
             cand |= vbit
-    return singles, prefixes, frees
+    return [], prefixes, frees
 
 
-def _meet(meets: dict[int, int], edges: list[int], crit: int) -> int:
+def _meet(meets: dict[int, int], edges: Sequence[int], crit: int) -> int:
     """The vertices in every edge indexed by `crit`, stored in `meets`
     under `crit`. A crit set is never empty and its meet holds the
     member it belongs to, so a stored meet is never 0."""

@@ -6,7 +6,9 @@ from implbases import (FormalContext, Implication, ImplicationBase, IndexSet,
                        SingleParamSpec, attribute_hypergraph,
                        format_implications, gen_single, minimal_transversals,
                        proper_premise_base, proper_premises_of, stem_base)
-from implbases.bases import _closure_mask, premise_counts
+from implbases.bases import (_attribute_edges, _attribute_premises,
+                             _closure_mask, _premise_edges, premise_counts)
+from implbases.hypergraph import _minimize_masks
 from implbases.sets import sorted_sets
 
 from conftest import attribute_names, implication_bases, random_contexts
@@ -399,6 +401,63 @@ def test_proper_premises_are_the_hypergraph_transversals_without_a(toy_context):
             attribute_hypergraph(toy_context, a)
         with pytest.raises(ValueError, match=message):
             proper_premises_of(toy_context, a)
+
+
+@given(small_contexts(max_objects=8, max_attributes=8))
+# an empty row; a full row; repeated rows; a full column (0) beside an
+# empty one (3)
+@example(FormalContext.from_row_masks(3, 4, [0, 0b0110, 0b0101]))
+@example(FormalContext.from_row_masks(3, 4, [0b1111, 0b0110, 0b0101]))
+@example(FormalContext.from_row_masks(4, 3, [0b011, 0b110, 0b011, 0b011]))
+@example(FormalContext.from_row_masks(3, 4, [0b0011, 0b0101, 0b0111]))
+@settings(max_examples=300, deadline=None)
+def test_premise_edges_are_each_attributes_minimized_edges(ctx):
+    # the same list in the same order as minimizing each attribute's own
+    # edges: MMCS's search tree depends on the edge order
+    n, rows = ctx.n_attributes, ctx.row_masks
+    assert _premise_edges(rows, n) == [
+        _minimize_masks(_attribute_edges(rows, n, a)) for a in range(n)]
+
+
+@pytest.mark.parametrize("m, n", [(8, 64), (8, 65), (12, 70)])
+@pytest.mark.parametrize("p", [0.3, 0.5, 0.8])
+def test_premise_edges_past_64_attributes(m, n, p):
+    ctx = gen_single(SingleParamSpec(m, n, p, seed=n))
+    rows = ctx.row_masks
+    assert _premise_edges(rows, n) == [
+        _minimize_masks(_attribute_edges(rows, n, a)) for a in range(n)]
+
+
+def test_a_is_dropped_from_the_root_pair_only():
+    # every row missing attribute 0 also misses 2, so {2} -> 0: the root
+    # branches on the edge {0,1,2}, and 0 and 2 both complete it; after
+    # 0 is dropped the root pair gives the premise {2}, and the child for
+    # 1 gives {1,3}
+    rows = [0b1000, 0b0010, 0b0111]
+    edges = _premise_edges(rows, 4)[0]
+    assert edges == [0b0111, 0b1101]
+    family, count = _attribute_premises(edges, 4, 0)
+    assert family == ([], [0, 0b0010], [0b0100, 0b1000]) and count == 3
+    ctx = FormalContext.from_row_masks(3, 4, rows)
+    assert members(proper_premises_of(ctx, 0)) == [(1, 3), (2,)]
+
+
+def test_a_root_pair_of_a_alone_goes_but_is_counted():
+    # attribute 0's edges {0,1} and {0,2} meet in {0}: the root pair is
+    # (0, {0}) and goes, while the count keeps {0} as a transversal
+    rows = [0b100, 0b010]
+    family, count = _attribute_premises(_premise_edges(rows, 3)[0], 3, 0)
+    assert family == ([], [0b010], [0b100]) and count == 2
+    ctx = FormalContext.from_row_masks(2, 3, rows)
+    assert members(proper_premises_of(ctx, 0)) == [(1, 2)]
+    assert premise_counts(ctx)[0][0] == 2
+    # the edge {0} alone: no premise is left, and {0} is still counted
+    ctx = FormalContext.from_row_masks(2, 3, [0b110, 0b111])
+    family, count = _attribute_premises(_premise_edges(ctx.row_masks, 3)[0],
+                                        3, 0)
+    assert family == ([], [], []) and count == 1
+    assert proper_premises_of(ctx, 0) == []
+    assert premise_counts(ctx)[0][0] == 1
 
 
 # -- the mask-pair base ----------------------------------------------------------

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from implbases import (Hypergraph, IndexSet, SingleParamSpec,
                        attribute_hypergraph, gen_single, minimal_transversals,
                        normalize)
-from implbases.hypergraph import _transversal_array, _transversal_masks
+from implbases.hypergraph import (_minimize_masks, _transversal_array,
+                                  _transversal_masks)
 
 from oracles import brute_force_transversals, is_transversal
 
@@ -103,6 +104,17 @@ def test_output_order_is_lexicographic_and_deterministic():
 @settings(max_examples=300, deadline=None)
 def test_oracle_equivalence(h):
     assert minimal_transversals(h) == brute_force_transversals(h)
+
+
+@given(random_hypergraphs())
+@settings(max_examples=200, deadline=None)
+def test_only_the_edgeless_hypergraph_has_a_single(h):
+    # a completed transversal leaves the kernel in a pair: the vertices
+    # that complete a node, or a one-edge-left child's free candidates
+    n, edges = h.vertex_count, _minimize_masks(h.edge_masks)
+    singles, prefixes, frees = _transversal_masks(n, edges)
+    assert singles == ([] if edges else [0])
+    assert all(frees) and len(prefixes) == len(frees)
 
 
 @given(random_hypergraphs())
@@ -218,10 +230,12 @@ def test_no_repeated_transversal(m, n):
     ctx = gen_single(SingleParamSpec(m, n, 0.5, seed=n))
     top_free = False
     for a in range(n):
-        family = _transversal_masks(n, attribute_hypergraph(ctx, a).edge_masks)
+        edges = _minimize_masks(attribute_hypergraph(ctx, a).edge_masks)
+        family = _transversal_masks(n, edges)
         singles, _, frees = family
         masks = _transversal_array(n, [family]).tolist()
         assert len(set(masks)) == len(masks)
+        assert singles == ([] if edges else [0])
         assert len(masks) == len(singles) + sum(f.bit_count() for f in frees)
         top_free |= any(f >> (n - 1) for f in frees)
     assert top_free or n == 30
