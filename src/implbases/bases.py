@@ -2,19 +2,17 @@
 
 Two bases are built here. The base of proper premises (canonical direct
 base) comes from per-attribute hypergraph dualization: the proper
-premises of attribute `a` are the minimal transversals of the hypergraph
-whose edges are the complements of the rows missing `a`, with the
-trivial transversal {a} removed. ``_premise_edges`` builds every
-attribute's minimized edges in one pass over the distinct row
-complements. One per-attribute step, ``_attribute_premises``, dualizes
-`a` and drops {a} from the root's pair, and returns the premises as the
-kernel's compressed family (``hypergraph``); ``proper_premises_of``
-expands and sorts it, and the base and ``premise_counts`` each call it
-for every attribute in turn. The base
-works on numpy arrays of masks (``sets.mask_dtype``): it expands each
-attribute's family, puts the attribute's bit beside each premise, sorts
-all of them by mask, ORs each run of equal premises' bits into its
-conclusion (``np.bitwise_or.reduceat``) and orders the distinct
+premises of attribute `a` are the minimal transversals other than {a}
+of the hypergraph whose edges are the complements of the rows missing
+`a`. Every such edge holds `a`, so they are exactly the minimal
+transversals of the same edges less `a`. ``_premise_edges`` builds
+those edges for every attribute in one pass over the distinct row
+complements, and the kernel (``hypergraph``) dualizes each list into a
+compressed family; ``proper_premises_of`` expands and sorts one. The
+base works on numpy arrays of masks (``sets.mask_dtype``): it expands
+each attribute's family, puts the attribute's bit beside each premise,
+sorts all of them by mask, ORs each run of equal premises' bits into
+its conclusion (``np.bitwise_or.reduceat``) and orders the distinct
 premises by ``sets.member_ranks``, the one key that orders masks as
 their member tuples do without building them. ``premise_counts``, the
 sweep's count-only consumer, reads each attribute's count off its
@@ -191,14 +189,14 @@ def _attribute_edges(rows: Sequence[int], n: int, a: int) -> list[int]:
 
 
 def _premise_edges(rows: Sequence[int], n: int) -> list[list[int]]:
-    """Every attribute's minimized edges, built in one pass over the row
-    masks `rows` of an `n`-attribute context: list `a` equals
-    ``_minimize_masks(_attribute_edges(rows, n, a))``, order included.
-    The distinct row complements are taken in that order (by size, then
-    by mask); each is a minimal edge of the attributes it holds that no
-    smaller kept complement inside it holds, and is kept if that leaves
-    any. Only kept ones need comparing: a smaller complement that holds
-    `a` contains a minimal edge of `a`."""
+    """Every attribute's minimized edges less the attribute, built in one
+    pass over the row masks `rows` of an `n`-attribute context: list `a`
+    is ``_minimize_masks(_attribute_edges(rows, n, a))`` with bit `a`
+    cleared, order included. The distinct row complements are taken in
+    that order (by size, then by mask); each is a minimal edge of the
+    attributes it holds that no smaller kept complement inside it holds,
+    and is kept if that leaves any. Only kept ones need comparing: a
+    smaller complement that holds `a` contains a minimal edge of `a`."""
     full = (1 << n) - 1
     ordered = sorted({full & ~row for row in rows})
     ordered.sort(key=int.bit_count)
@@ -216,7 +214,7 @@ def _premise_edges(rows: Sequence[int], n: int) -> list[list[int]]:
             while attrs:
                 low = attrs & -attrs
                 attrs ^= low
-                edges[low.bit_length() - 1].append(c)
+                edges[low.bit_length() - 1].append(c ^ low)
     return edges
 
 
@@ -229,54 +227,36 @@ def attribute_hypergraph(ctx: FormalContext, a: int) -> Hypergraph:
     return Hypergraph.from_masks(n, _attribute_edges(ctx.row_masks, n, a))
 
 
-def _attribute_premises(edges: Sequence[int], n: int,
-                        a: int) -> tuple[Family, int]:
-    """Attribute `a`'s proper premises, as a compressed family
-    (``hypergraph._transversal_masks``), and its minimal-transversal
-    count, from its minimized edges (``_premise_edges``) in an
-    `n`-attribute context: the one place an attribute is dualized and
-    {a} is dropped. A full column keeps its one transversal {}: `a`
-    follows from nothing."""
-    singles, prefixes, frees = family = _transversal_masks(n, edges)
-    count = len(singles) + sum(map(int.bit_count, frees))
-    if not singles:
-        # `a` lies in every edge, so it completes the root, whose pair
-        # (0, its completing vertices) is recorded first; below the root
-        # `a` is blocked everywhere, so no other transversal contains it
-        frees[0] ^= 1 << a
-        if not frees[0]:
-            del prefixes[0], frees[0]
-    return family, count
-
-
 def proper_premises_of(ctx: FormalContext, a: int) -> list[AttributeSet]:
     """Proper premises of `a`, sorted; [{}] when column `a` is full."""
     n = ctx.n_attributes
     _check_attribute(n, a)
-    family = _attribute_premises(_premise_edges(ctx.row_masks, n)[a], n, a)[0]
+    family = _transversal_masks(n, _premise_edges(ctx.row_masks, n)[a])
     return sorted_sets(n, _transversal_array(n, [family]).tolist())
 
 
 def premise_counts(ctx: FormalContext) -> tuple[list[int], int, int]:
     """Each attribute's minimal-transversal count, the number of
     premise -> attribute pairs and the number of distinct premises of
-    the proper-premise base, without building the base.
+    the proper-premise base, without building the base. It refuses no
+    size: ``--max-proper-attrs`` of ``compute`` and the sweep is the
+    only guard.
 
-    The counts are read off the compressed families. The families are
-    expanded once for the whole context, by ``_transversal_array``,
-    which turns each one into arrays as it is made. The pairs are the
-    length of that array. Sorted in place, it holds one distinct premise
-    more than it has places where a value differs from the one before
-    it, or none when it is empty.
+    An attribute's count is its family's free bits plus one, for {a} or
+    for a full column's {}. The families are expanded once for the whole
+    context, by ``_transversal_array``, which turns each one into arrays
+    as it is made. The pairs are the length of that array. Sorted in
+    place, it holds one distinct premise more than it has places where a
+    value differs from the one before it, or none when it is empty.
     """
     n = ctx.n_attributes
     counts: list[int] = []
 
     def families() -> Iterator[Family]:
-        for a, edges in enumerate(_premise_edges(ctx.row_masks, n)):
-            family, count = _attribute_premises(edges, n, a)
-            counts.append(count)
-            yield family
+        for edges in _premise_edges(ctx.row_masks, n):
+            prefixes, frees = _transversal_masks(n, edges)
+            counts.append(sum(map(int.bit_count, frees)) + 1)
+            yield prefixes, frees
 
     premises = _transversal_array(n, families())
     premises.sort()
@@ -291,11 +271,13 @@ def proper_premise_base(ctx: FormalContext) -> ImplicationBase:
     attribute's expanded premises, with its bit beside each, are sorted
     together by mask, each run of equal premises ORs its bits into one
     conclusion, and the distinct premises are put in member-tuple order.
+    It refuses no size: ``--max-proper-attrs`` of ``compute`` and the
+    sweep is the only guard.
     """
     n = ctx.n_attributes
     dtype = mask_dtype(n)
-    parts = [_transversal_array(n, [_attribute_premises(edges, n, a)[0]])
-             for a, edges in enumerate(_premise_edges(ctx.row_masks, n))]
+    parts = [_transversal_array(n, [_transversal_masks(n, edges)])
+             for edges in _premise_edges(ctx.row_masks, n)]
     bits = np.repeat(np.array([1 << a for a in range(n)], dtype),
                      [part.size for part in parts])
     premises = np.concatenate([np.empty(0, dtype), *parts])

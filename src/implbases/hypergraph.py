@@ -4,19 +4,18 @@ The enumerator is MMCS (Murakami & Uno, 2014): a depth-first search
 that keeps the chosen set minimal through per-member crit sets and
 holds no intermediate family of transversals. It takes an edge family
 that the caller has minimized (``_minimize_masks``, or
-``bases._premise_edges`` for a whole context) and records each
-completed transversal in a pair, the set so far and the vertices that
-each complete it. So the kernel returns a compressed family: those
-pairs, and the one single that no pair can hold, the edgeless
-hypergraph's ``{}``. ``_transversal_array`` expands compressed families
-into one numpy array, peeling the lowest candidate off every pair at
-once, in the dtype of ``sets.mask_dtype`` (``uint64`` up to 64
-vertices, Python ints above). ``bases.premise_counts`` expands a whole
-context's families at once, ``bases.proper_premise_base`` one
-attribute's family at a time and merges the arrays, and the other
-callers expand one family and sort its ``tolist()`` at the boundary
-(``sets.sorted_sets``). Inner loops work on raw bitmasks and return
-families in no fixed order.
+``bases._premise_edges`` for a whole context) and returns a compressed
+family, pairs ``(t, f)`` held as two lists, prefixes and frees. A pair
+stands for ``t | w`` for each bit ``w`` of ``f``, or for ``t`` itself
+when ``f`` is 0; only the edgeless hypergraph gives ``f = 0``.
+``_transversal_array`` expands compressed families into one numpy
+array, peeling the lowest bit off every ``f`` at once, in the dtype of
+``sets.mask_dtype`` (``uint64`` up to 64 vertices, Python ints above).
+``bases.premise_counts`` expands a whole context's families at once,
+``bases.proper_premise_base`` one attribute's family at a time and
+merges the arrays, and the other callers expand one family and sort
+its ``tolist()`` at the boundary (``sets.sorted_sets``). Inner loops
+work on raw bitmasks and return families in no fixed order.
 
 A ``Hypergraph`` is a frozen slotted dataclass over ``IndexSet`` edges,
 made at the API boundary only.
@@ -38,9 +37,9 @@ import numpy as np
 
 from .sets import IndexSet, mask_dtype, sorted_sets
 
-# a compressed transversal family: (singles, prefixes, frees), as
+# a compressed transversal family: (prefixes, frees), as
 # ``_transversal_masks`` returns it
-Family = tuple[list[int], list[int], list[int]]
+Family = tuple[list[int], list[int]]
 
 
 @dataclass(frozen=True, slots=True, repr=False)
@@ -114,10 +113,9 @@ def _transversal_masks(n: int, edges: Sequence[int]) -> Family:
     """Minimal-transversal masks by MMCS (Murakami & Uno, Discrete Appl.
     Math. 170, 2014) of the minimized edges `edges` (``_minimize_masks``:
     no repeat, no edge inside another), as a compressed family
-    ``(singles, prefixes, frees)``: the singles, plus ``t | w`` for each
-    pair ``(t, f)`` of ``zip(prefixes, frees)`` and each bit ``w`` of
-    ``f`` (never 0). The only single is the edgeless hypergraph's ``0``.
-    No mask is repeated and none is in a fixed order;
+    ``(prefixes, frees)`` (module docstring): ``([0], [0])`` when there
+    is no edge, ``([], [])`` when the one edge is empty, and no ``f`` of
+    0 otherwise. No mask is repeated and none is in a fixed order;
     ``_transversal_array`` expands the family, and callers that need an
     order sort at the boundary.
 
@@ -148,7 +146,7 @@ def _transversal_masks(n: int, edges: Sequence[int]) -> Family:
     can hold more vertices than the recursion limit.
     """
     if not edges:
-        return [0], [], []
+        return [0], [0]
     occ = [0] * n
     for i, e in enumerate(edges):
         while e:
@@ -207,7 +205,7 @@ def _transversal_masks(n: int, edges: Sequence[int]) -> Family:
                 prefixes.append(s | vbit)
                 frees.append(free)
             cand |= vbit
-    return [], prefixes, frees
+    return prefixes, frees
 
 
 def _meet(meets: dict[int, int], edges: Sequence[int], crit: int) -> int:
@@ -230,20 +228,19 @@ def _transversal_array(n: int, families: Iterable[Family]) -> np.ndarray:
     arrays as it arrives, so the ints of all the families are never held
     at once. The pairs are then expanded together, one round per bit of
     the fullest ``f``: each round emits ``t | w`` for the lowest bit
-    ``w`` of every ``f`` at once and keeps the pairs with bits left."""
+    ``w`` of every ``f`` at once, or ``t`` itself where ``f`` is 0, and
+    keeps the pairs with bits left."""
     dtype = mask_dtype(n)
     empty = np.empty(0, dtype)
-    parts: tuple[list[np.ndarray], ...] = ([empty], [empty], [empty])
-    for singles, prefixes, frees in families:
-        if singles:
-            parts[0].append(np.fromiter(singles, dtype, len(singles)))
+    parts: tuple[list[np.ndarray], ...] = ([empty], [empty])
+    for prefixes, frees in families:
         if frees:
-            parts[1].append(np.fromiter(prefixes, dtype, len(frees)))
-            parts[2].append(np.fromiter(frees, dtype, len(frees)))
-    singles, prefixes, frees = map(np.concatenate, parts)
-    out = [singles]
+            parts[0].append(np.fromiter(prefixes, dtype, len(frees)))
+            parts[1].append(np.fromiter(frees, dtype, len(frees)))
+    prefixes, frees = map(np.concatenate, parts)
+    out = [empty]
     while frees.size:
-        rest = frees & (frees - 1)  # each f less its lowest bit
+        rest = frees & (frees - 1)  # each f less its lowest bit; 0 stays 0
         out.append(prefixes | (frees ^ rest))
         keep = rest != 0
         prefixes, frees = prefixes[keep], rest[keep]

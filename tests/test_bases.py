@@ -6,9 +6,9 @@ from implbases import (FormalContext, Implication, ImplicationBase, IndexSet,
                        SingleParamSpec, attribute_hypergraph,
                        format_implications, gen_single, minimal_transversals,
                        proper_premise_base, proper_premises_of, stem_base)
-from implbases.bases import (_attribute_edges, _attribute_premises,
-                             _closure_mask, _premise_edges, premise_counts)
-from implbases.hypergraph import _minimize_masks
+from implbases.bases import (_attribute_edges, _closure_mask, _premise_edges,
+                             premise_counts)
+from implbases.hypergraph import _minimize_masks, _transversal_masks
 from implbases.sets import sorted_sets
 
 from conftest import attribute_names, implication_bases, random_contexts
@@ -403,6 +403,13 @@ def test_proper_premises_are_the_hypergraph_transversals_without_a(toy_context):
             proper_premises_of(toy_context, a)
 
 
+def reduced_edges(ctx):
+    """Each attribute's own minimized edges, less the attribute."""
+    n, rows = ctx.n_attributes, ctx.row_masks
+    return [[e ^ 1 << a for e in _minimize_masks(_attribute_edges(rows, n, a))]
+            for a in range(n)]
+
+
 @given(small_contexts(max_objects=8, max_attributes=8))
 # an empty row; a full row; repeated rows; a full column (0) beside an
 # empty one (3)
@@ -413,51 +420,52 @@ def test_proper_premises_are_the_hypergraph_transversals_without_a(toy_context):
 @settings(max_examples=300, deadline=None)
 def test_premise_edges_are_each_attributes_minimized_edges(ctx):
     # the same list in the same order as minimizing each attribute's own
-    # edges: MMCS's search tree depends on the edge order
-    n, rows = ctx.n_attributes, ctx.row_masks
-    assert _premise_edges(rows, n) == [
-        _minimize_masks(_attribute_edges(rows, n, a)) for a in range(n)]
+    # edges, less the attribute: MMCS's search tree depends on the order
+    assert _premise_edges(ctx.row_masks, ctx.n_attributes) == reduced_edges(ctx)
 
 
 @pytest.mark.parametrize("m, n", [(8, 64), (8, 65), (12, 70)])
 @pytest.mark.parametrize("p", [0.3, 0.5, 0.8])
 def test_premise_edges_past_64_attributes(m, n, p):
     ctx = gen_single(SingleParamSpec(m, n, p, seed=n))
-    rows = ctx.row_masks
-    assert _premise_edges(rows, n) == [
-        _minimize_masks(_attribute_edges(rows, n, a)) for a in range(n)]
+    assert _premise_edges(ctx.row_masks, n) == reduced_edges(ctx)
 
 
-def test_a_is_dropped_from_the_root_pair_only():
-    # every row missing attribute 0 also misses 2, so {2} -> 0: the root
-    # branches on the edge {0,1,2}, and 0 and 2 both complete it; after
-    # 0 is dropped the root pair gives the premise {2}, and the child for
-    # 1 gives {1,3}
+def test_a_never_enters_its_premise_family():
+    # every row missing attribute 0 also misses 2, so {2} -> 0: 0's
+    # edges {0,1,2} and {0,2,3} lose 0, the root branches on {1,2}, 2
+    # completes it and gives the premise {2}, and the child for 1 gives
+    # {1,3}; {0} is not recorded but is counted
     rows = [0b1000, 0b0010, 0b0111]
     edges = _premise_edges(rows, 4)[0]
-    assert edges == [0b0111, 0b1101]
-    family, count = _attribute_premises(edges, 4, 0)
-    assert family == ([], [0, 0b0010], [0b0100, 0b1000]) and count == 3
+    assert edges == [0b0110, 0b1100]
+    assert _transversal_masks(4, edges) == ([0, 0b0010], [0b0100, 0b1000])
     ctx = FormalContext.from_row_masks(3, 4, rows)
     assert members(proper_premises_of(ctx, 0)) == [(1, 3), (2,)]
+    assert premise_counts(ctx)[0][0] == 3
 
 
-def test_a_root_pair_of_a_alone_goes_but_is_counted():
-    # attribute 0's edges {0,1} and {0,2} meet in {0}: the root pair is
-    # (0, {0}) and goes, while the count keeps {0} as a transversal
+def test_a_alone_completes_no_node_but_is_counted():
+    # attribute 0's edges {0,1} and {0,2} meet in {0}: less 0 they meet
+    # in nothing, so the root records no pair, while the count keeps {0}
+    # as a transversal
     rows = [0b100, 0b010]
-    family, count = _attribute_premises(_premise_edges(rows, 3)[0], 3, 0)
-    assert family == ([], [0b010], [0b100]) and count == 2
+    assert _transversal_masks(3, _premise_edges(rows, 3)[0]) == ([0b010],
+                                                                [0b100])
     ctx = FormalContext.from_row_masks(2, 3, rows)
     assert members(proper_premises_of(ctx, 0)) == [(1, 2)]
     assert premise_counts(ctx)[0][0] == 2
-    # the edge {0} alone: no premise is left, and {0} is still counted
+    # the edge {0} alone becomes the empty edge: no premise is left, and
+    # {0} is still counted
     ctx = FormalContext.from_row_masks(2, 3, [0b110, 0b111])
-    family, count = _attribute_premises(_premise_edges(ctx.row_masks, 3)[0],
-                                        3, 0)
-    assert family == ([], [], []) and count == 1
+    edges = _premise_edges(ctx.row_masks, 3)[0]
+    assert edges == [0] and _transversal_masks(3, edges) == ([], [])
     assert proper_premises_of(ctx, 0) == []
     assert premise_counts(ctx)[0][0] == 1
+    # a full column has no edge: the pair (0, 0) stands for {}
+    assert _premise_edges(ctx.row_masks, 3)[1] == []
+    assert members(proper_premises_of(ctx, 1)) == [()]
+    assert premise_counts(ctx)[0][1] == 1
 
 
 # -- the mask-pair base ----------------------------------------------------------

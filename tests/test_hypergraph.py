@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from implbases import (Hypergraph, IndexSet, SingleParamSpec,
                        attribute_hypergraph, gen_single, minimal_transversals,
                        normalize)
+from implbases.bases import _premise_edges
 from implbases.hypergraph import (_minimize_masks, _transversal_array,
                                   _transversal_masks)
 
@@ -108,13 +109,16 @@ def test_oracle_equivalence(h):
 
 @given(random_hypergraphs())
 @settings(max_examples=200, deadline=None)
-def test_only_the_edgeless_hypergraph_has_a_single(h):
+def test_only_the_edgeless_hypergraph_has_a_zero_free(h):
     # a completed transversal leaves the kernel in a pair: the vertices
-    # that complete a node, or a one-edge-left child's free candidates
+    # that complete a node, or a one-edge-left child's free candidates;
+    # only {} of a hypergraph without edges is a pair (0, 0)
     n, edges = h.vertex_count, _minimize_masks(h.edge_masks)
-    singles, prefixes, frees = _transversal_masks(n, edges)
-    assert singles == ([] if edges else [0])
-    assert all(frees) and len(prefixes) == len(frees)
+    prefixes, frees = _transversal_masks(n, edges)
+    if edges:
+        assert all(frees) and len(prefixes) == len(frees)
+    else:
+        assert (prefixes, frees) == ([0], [0])
 
 
 @given(random_hypergraphs())
@@ -226,44 +230,51 @@ def test_no_repeated_transversal(m, n):
     # sweeps count transversals off the compressed family and with len(),
     # and neither the engine, the expansion nor sorted_sets deduplicates,
     # so no mask may repeat; at 64 and 65 attributes some free candidate
-    # is the top attribute (bit 63 of a uint64, bit 64 of a Python int)
+    # is the top attribute (bit 63 of a uint64, bit 64 of a Python int).
+    # Each attribute is dualized with and without itself in its edges.
     ctx = gen_single(SingleParamSpec(m, n, 0.5, seed=n))
     top_free = False
-    for a in range(n):
+    for a, reduced in enumerate(_premise_edges(ctx.row_masks, n)):
         edges = _minimize_masks(attribute_hypergraph(ctx, a).edge_masks)
-        family = _transversal_masks(n, edges)
-        singles, _, frees = family
-        masks = _transversal_array(n, [family]).tolist()
-        assert len(set(masks)) == len(masks)
-        assert singles == ([] if edges else [0])
-        assert len(masks) == len(singles) + sum(f.bit_count() for f in frees)
-        top_free |= any(f >> (n - 1) for f in frees)
+        assert len(edges) == len(reduced)
+        for family in (_transversal_masks(n, edges),
+                       _transversal_masks(n, reduced)):
+            frees = family[1]
+            masks = _transversal_array(n, [family]).tolist()
+            assert len(set(masks)) == len(masks)
+            assert all(frees) == bool(reduced)
+            assert len(masks) == sum(f.bit_count() or 1 for f in frees)
+            top_free |= any(f >> (n - 1) for f in frees)
     assert top_free or n == 30
 
 
 def bit_by_bit(families):
-    """The masks of compressed families, expanded one bit at a time."""
+    """The masks of compressed families, expanded one bit at a time: a
+    pair (t, 0) stands for t."""
     out = []
-    for singles, prefixes, frees in families:
-        out += singles
+    for prefixes, frees in families:
         for t, f in zip(prefixes, frees):
+            if not f:
+                out.append(t)
             out += [t | 1 << i for i in range(f.bit_length()) if f >> i & 1]
     return out
 
 
 @pytest.mark.parametrize("n, families, dtype", [
-    # bit 63 in singles, prefixes and frees, and a free of all 64 bits
-    (64, [([1 << 63, 6], [1 << 63, 0, 1 << 5], [3, (1 << 64) - 1, 1 << 63])],
+    # bit 63 in prefixes and frees, a free of all 64 bits, and pairs
+    # (t, 0) with bit 63 in t
+    (64, [([1 << 63, 0, 1 << 5, 1 << 63, 6], [3, (1 << 64) - 1, 1 << 63, 0, 0])],
      np.uint64),
-    # bits 64-69, over two families, in an object array
-    (70, [([(1 << 70) - 1], [1 << 69], [(1 << 64) | (1 << 68) | 1]),
-          ([], [3 << 64, 1], [(1 << 69) | (1 << 66), (1 << 65) - 2])],
+    # bits 64-69, over two families, in an object array, with (t, 0)
+    # past bit 64
+    (70, [([1 << 69, (1 << 70) - 1], [(1 << 64) | (1 << 68) | 1, 0]),
+          ([3 << 64, 1, 1 << 66], [(1 << 69) | (1 << 66), (1 << 65) - 2, 0])],
      object),
-    (5, [([3, 6], [], [])], np.uint64),  # no pairs
-    (5, [([], [8], [7]), ([1, 2], [], [])], np.uint64),  # a family of pairs only
-    (5, [([0], [], [])], np.uint64),  # an edgeless hypergraph's {}
-    (5, [([], [], [])], np.uint64),  # a hypergraph with an empty edge
-    (70, [([], [], [])], object),
+    (5, [([8], [7]), ([1, 2], [0, 0])], np.uint64),
+    (5, [([0], [0])], np.uint64),  # an edgeless hypergraph's {}
+    (70, [([0], [0])], object),
+    (5, [([], [])], np.uint64),  # a hypergraph with an empty edge
+    (70, [([], [])], object),
     (3, [], np.uint64),
 ])
 def test_transversal_array_expands_every_free_bit(n, families, dtype):
