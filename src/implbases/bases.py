@@ -4,11 +4,12 @@ Two bases are built here. The base of proper premises (canonical direct
 base) comes from per-attribute hypergraph dualization: the proper
 premises of attribute `a` are the minimal transversals other than {a}
 of the hypergraph whose edges are the complements of the rows missing
-`a`. Every such edge holds `a`, so they are exactly the minimal
-transversals of the same edges less `a`. ``_premise_edges`` builds
-those edges for every attribute in one pass over the distinct row
-complements, and the kernel (``hypergraph``) dualizes each list into a
-compressed family; ``proper_premises_of`` expands and sorts one. The
+`a`; ``proper_premises_of`` takes them so, through the public
+``attribute_hypergraph`` and ``minimal_transversals``. Every such edge
+holds `a`, so they are exactly the minimal transversals of the same
+edges less `a`. ``_premise_edges`` builds those edges for every
+attribute in one pass over the distinct row complements, and the
+kernel (``hypergraph``) dualizes each list into a compressed family. The
 base works on numpy arrays of masks (``sets.mask_dtype``): it expands
 each attribute's family, puts the attribute's bit beside each premise,
 sorts all of them by mask, ORs each run of equal premises' bits into
@@ -59,9 +60,9 @@ import numpy as np
 
 from .context import FormalContext
 from .hypergraph import (Family, Hypergraph, _transversal_array,
-                         _transversal_masks)
+                         _transversal_masks, minimal_transversals)
 from .sets import (AttributeSet, IndexSet, mask_dtype, member_ranks,
-                   member_tables, member_texts, sorted_sets)
+                   member_tables, member_texts)
 
 
 @dataclass(frozen=True, slots=True)
@@ -175,27 +176,14 @@ class ImplicationBase:
 # -- proper premises ----------------------------------------------------------
 
 
-def _check_attribute(n: int, a: int) -> None:
-    if not 0 <= a < n:
-        raise ValueError(f"attribute {a} outside universe {n}")
-
-
-def _attribute_edges(rows: Sequence[int], n: int, a: int) -> list[int]:
-    """Edge masks of attribute `a`'s hypergraph: the complement of every
-    row that misses `a`, in row order."""
-    _check_attribute(n, a)
-    full = (1 << n) - 1
-    return [full & ~row for row in rows if not (row >> a & 1)]
-
-
 def _premise_edges(rows: Sequence[int], n: int) -> list[list[int]]:
     """Every attribute's minimized edges less the attribute, built in one
     pass over the row masks `rows` of an `n`-attribute context: list `a`
-    is ``_minimize_masks(_attribute_edges(rows, n, a))`` with bit `a`
-    cleared, order included. The distinct row complements are taken in
-    that order (by size, then by mask); each is a minimal edge of the
-    attributes it holds that no smaller kept complement inside it holds,
-    and is kept if that leaves any. Only kept ones need comparing: a
+    is ``_minimize_masks`` of ``attribute_hypergraph``'s edges for `a`
+    with bit `a` cleared, order included. The distinct row complements
+    are taken in that order (by size, then by mask); each is a minimal
+    edge of the attributes it holds that no smaller kept complement in
+    it holds, kept if that leaves any. Only kept ones need comparing: a
     smaller complement that holds `a` contains a minimal edge of `a`."""
     full = (1 << n) - 1
     ordered = sorted({full & ~row for row in rows})
@@ -224,15 +212,18 @@ def attribute_hypergraph(ctx: FormalContext, a: int) -> Hypergraph:
     `a`. Duplicate edges are preserved; dualization normalizes anyway.
     """
     n = ctx.n_attributes
-    return Hypergraph.from_masks(n, _attribute_edges(ctx.row_masks, n, a))
+    if not 0 <= a < n:
+        raise ValueError(f"attribute {a} outside universe {n}")
+    full = (1 << n) - 1
+    return Hypergraph.from_masks(
+        n, (full & ~row for row in ctx.row_masks if not (row >> a & 1)))
 
 
 def proper_premises_of(ctx: FormalContext, a: int) -> list[AttributeSet]:
-    """Proper premises of `a`, sorted; [{}] when column `a` is full."""
-    n = ctx.n_attributes
-    _check_attribute(n, a)
-    family = _transversal_masks(n, _premise_edges(ctx.row_masks, n)[a])
-    return sorted_sets(n, _transversal_array(n, [family]).tolist())
+    """Proper premises of `a`: the minimal transversals of its hypergraph
+    other than {a}, sorted; [{}] when column `a` is full."""
+    return [s for s in minimal_transversals(attribute_hypergraph(ctx, a))
+            if s.mask != 1 << a]
 
 
 def premise_counts(ctx: FormalContext) -> tuple[list[int], int, int]:

@@ -11,11 +11,12 @@ when ``f`` is 0; only the edgeless hypergraph gives ``f = 0``.
 ``_transversal_array`` expands compressed families into one numpy
 array, peeling the lowest bit off every ``f`` at once, in the dtype of
 ``sets.mask_dtype`` (``uint64`` up to 64 vertices, Python ints above).
-``bases.premise_counts`` expands a whole context's families at once,
+MMCS and the expansion have three callers: ``bases.premise_counts``
+expands a whole context's families at once,
 ``bases.proper_premise_base`` one attribute's family at a time and
-merges the arrays, and the other callers expand one family and sort
-its ``tolist()`` at the boundary (``sets.sorted_sets``). Inner loops
-work on raw bitmasks and return families in no fixed order.
+merges the arrays, and ``minimal_transversals`` expands one family and
+sorts its ``tolist()`` at the boundary (``sets.sorted_sets``). Inner
+loops work on raw bitmasks and return families in no fixed order.
 
 A ``Hypergraph`` is a frozen slotted dataclass over ``IndexSet`` edges,
 made at the API boundary only.

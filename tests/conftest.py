@@ -8,6 +8,11 @@ from implbases import (FormalContext, ImplicationBase, SingleParamSpec,
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
+# seconds any subprocess of a test may take: a slow or hung child then
+# fails its own test instead of hanging the suite (the slowest takes a
+# few seconds)
+SUBPROCESS_TIMEOUT = 120
+
 # 5x5 running example used across the suite:
 #      a1 a2 a3 a4 a5
 #  o1   X  X  .  .  .

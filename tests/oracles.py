@@ -248,7 +248,11 @@ def close_fixpoint(base: ImplicationBase, x: AttributeSet) -> AttributeSet:
 def merged_proper_premise_base(ctx: FormalContext) -> ImplicationBase:
     """Reference: each attribute's proper premises (``proper_premises_of``)
     merged into a premise -> conclusion dict, the premises ordered by
-    their member tuples."""
+    their member tuples. It shares MMCS (``_transversal_masks``) and its
+    expansion (``_transversal_array``) with ``proper_premise_base``, but
+    not the engine's edge builder ``bases._premise_edges``: each
+    attribute's edges come from ``attribute_hypergraph`` and are
+    minimized by ``_minimize_masks``, with the attribute left in."""
     n = ctx.n_attributes
     merged: dict[int, int] = {}
     for a in range(n):

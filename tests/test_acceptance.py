@@ -25,6 +25,7 @@ from implbases import (Hypergraph, IndexSet, SingleParamSpec, SweepSpec,
                        proper_premises_of, run_sweep, stem_base)
 from implbases.randctx import MultiParamSpec
 
+from conftest import SUBPROCESS_TIMEOUT
 from oracles import (brute_force_proper_premises, brute_force_pseudo_intents,
                      brute_force_transversals, close_fixpoint, close_once,
                      closure, column_mask)
@@ -323,7 +324,7 @@ def test_criterion_10_generator_statistics():
 def test_criterion_11_cli_determinism(toy_context_path, tmp_path):
     def run(*args):
         proc = subprocess.run([sys.executable, "-m", "implbases", *args],
-                              capture_output=True)
+                              capture_output=True, timeout=SUBPROCESS_TIMEOUT)
         assert proc.returncode == 0, proc.stderr.decode()
         return proc.stdout
 

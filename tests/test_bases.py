@@ -6,9 +6,9 @@ from implbases import (FormalContext, Implication, ImplicationBase, IndexSet,
                        SingleParamSpec, attribute_hypergraph,
                        format_implications, gen_single, minimal_transversals,
                        proper_premise_base, proper_premises_of, stem_base)
-from implbases.bases import (_attribute_edges, _closure_mask, _premise_edges,
-                             premise_counts)
-from implbases.hypergraph import _minimize_masks, _transversal_masks
+from implbases.bases import _closure_mask, _premise_edges, premise_counts
+from implbases.hypergraph import (_minimize_masks, _transversal_array,
+                                  _transversal_masks)
 from implbases.sets import sorted_sets
 
 from conftest import attribute_names, implication_bases, random_contexts
@@ -390,11 +390,15 @@ def test_proper_base_matches_the_dict_merge(toy_context):
 
 
 def test_proper_premises_are_the_hypergraph_transversals_without_a(toy_context):
+    # the public route (each attribute's own hypergraph, minimized with
+    # the attribute in, less the transversal {a}) against the engine's
+    # route (every attribute's edges less itself from ``_premise_edges``)
     for ctx in [toy_context] + random_contexts(40, base_seed=11):
-        for a in range(ctx.n_attributes):
-            expected = minimal_transversals(attribute_hypergraph(ctx, a))
-            assert ([p.mask for p in proper_premises_of(ctx, a)]
-                    == [s.mask for s in expected if s.mask != 1 << a])
+        n = ctx.n_attributes
+        for a, edges in enumerate(_premise_edges(ctx.row_masks, n)):
+            family = _transversal_masks(n, edges)
+            assert proper_premises_of(ctx, a) == sorted_sets(
+                n, _transversal_array(n, [family]).tolist())
     for a in (5, -1):
         message = rf"^attribute {a} outside universe 5$"
         with pytest.raises(ValueError, match=message):
@@ -405,8 +409,9 @@ def test_proper_premises_are_the_hypergraph_transversals_without_a(toy_context):
 
 def reduced_edges(ctx):
     """Each attribute's own minimized edges, less the attribute."""
-    n, rows = ctx.n_attributes, ctx.row_masks
-    return [[e ^ 1 << a for e in _minimize_masks(_attribute_edges(rows, n, a))]
+    n = ctx.n_attributes
+    return [[e ^ 1 << a for e in
+             _minimize_masks(attribute_hypergraph(ctx, a).edge_masks)]
             for a in range(n)]
 
 

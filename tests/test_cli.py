@@ -2,6 +2,7 @@ import io
 import json
 import subprocess
 import sys
+import threading
 
 import pytest
 from hypothesis import given, settings
@@ -12,13 +13,13 @@ from implbases import (FormalContext, SingleParamSpec, gen_single, parse_csv,
                        write_burmeister)
 from implbases.cli import _JSON_PIECE, _write_bases_json
 
-from conftest import attribute_names, implication_bases
+from conftest import SUBPROCESS_TIMEOUT, attribute_names, implication_bases
 from oracles import bases_json
 
 
 def run_cli(*args, expect_code=0):
     proc = subprocess.run([sys.executable, "-m", "implbases", *args],
-                          capture_output=True)
+                          capture_output=True, timeout=SUBPROCESS_TIMEOUT)
     assert proc.returncode == expect_code, (
         args, proc.returncode, proc.stderr.decode())
     return proc
@@ -115,10 +116,17 @@ def test_compute_into_a_closed_pipe_ends_quietly(fmt, lines, tmp_path):
         proc = subprocess.Popen(
             [sys.executable, "-m", "implbases", "compute", str(path),
              "--format", fmt], stdout=subprocess.PIPE, stderr=err)
-        for _ in range(lines):
-            assert proc.stdout.readline()
+        # a child that hangs is killed, which ends readline with no line
+        timer = threading.Timer(SUBPROCESS_TIMEOUT, proc.kill)
+        timer.start()
+        try:
+            for _ in range(lines):
+                assert proc.stdout.readline()
+        finally:
+            timer.cancel()
+            timer.join()
         proc.stdout.close()
-        assert proc.wait(timeout=60) == 1
+        assert proc.wait(timeout=SUBPROCESS_TIMEOUT) == 1
     assert (tmp_path / "err").read_bytes() == b""
 
 
@@ -508,7 +516,7 @@ def test_sweep_refuses_unwritable_out_before_any_trial(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "implbases", "sweep", "--objects", "60",
          "--attributes", "60", "--p", "0.5", "--out", str(out)],
-        capture_output=True, timeout=60)
+        capture_output=True, timeout=SUBPROCESS_TIMEOUT)
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert proc.stderr.decode() == (
@@ -549,7 +557,7 @@ def test_sweep_workers_below_one_refused_before_out_and_trials(workers, tmp_path
         [sys.executable, "-m", "implbases", "sweep", "--objects", "60",
          "--attributes", "60", "--p", "0.5", "--workers", workers,
          "--out", str(out)],
-        capture_output=True, timeout=60)
+        capture_output=True, timeout=SUBPROCESS_TIMEOUT)
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert proc.stderr.decode() == f"error: workers must be >= 1, got {workers}\n"
@@ -569,7 +577,7 @@ def test_importing_the_cli_loads_no_process_pool():
             "attributes=(5,), trials=3), workers=2)\n"
             "pools()\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True)
+                          text=True, check=True, timeout=SUBPROCESS_TIMEOUT)
     assert proc.stdout == "[]\n[]\n"
 
 
@@ -590,7 +598,7 @@ def test_non_finite_bound_constant_refused(args, message, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "implbases", "sweep", "--objects", "60",
          "--attributes", "4,5,60", *args, "--out", str(out)],
-        capture_output=True, timeout=60)
+        capture_output=True, timeout=SUBPROCESS_TIMEOUT)
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert proc.stderr.decode() == f"error: {message}\n"
@@ -615,7 +623,7 @@ def test_overflowing_bound_refused(attributes, args, message, tmp_path):
         [sys.executable, "-m", "implbases", "sweep", "--objects", "1000",
          "--attributes", f"3,{attributes}", "--p", "0.5", *args,
          "--out", str(out)],
-        capture_output=True, timeout=60)
+        capture_output=True, timeout=SUBPROCESS_TIMEOUT)
     assert proc.returncode == 2
     assert proc.stdout == b""
     assert proc.stderr.decode() == f"error: {message}\n"

@@ -15,6 +15,8 @@ from implbases import (Implication, IndexSet, SingleParamSpec,
                        attribute_hypergraph, gen_single, proper_premise_base,
                        read_burmeister, stem_base)
 
+from conftest import SUBPROCESS_TIMEOUT
+
 PUBLIC_NAMES = [
     "AttributeSet", "ContextParseError",
     "FitError", "FitResult", "FormalContext", "Hypergraph", "Implication",
@@ -49,7 +51,8 @@ def test_importing_the_cli_loads_nothing_from_the_tests():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (os.environ.get("PYTHONPATH"), tests_dir) if p)}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, check=True, env=env)
+                          text=True, check=True, env=env,
+                          timeout=SUBPROCESS_TIMEOUT)
     loaded = [os.path.abspath(f) for f in proc.stdout.split("\n") if f]
     assert any(f.endswith(os.path.join("implbases", "cli.py")) for f in loaded)
     assert not [f for f in loaded

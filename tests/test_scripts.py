@@ -12,6 +12,8 @@ import sys
 
 import pytest
 
+from conftest import SUBPROCESS_TIMEOUT
+
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 
 # script -> (arguments before --out, CSV sha256)
@@ -35,6 +37,7 @@ def test_script_csv_pinned(script, tmp_path):
            "PYTHONPATH": src + os.pathsep + inherited if inherited else src}
     proc = subprocess.run([sys.executable, os.path.join(ROOT, "scripts", script),
                            *args, "--out", str(out)],
-                          capture_output=True, env=env)
+                          capture_output=True, env=env,
+                          timeout=SUBPROCESS_TIMEOUT)
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
